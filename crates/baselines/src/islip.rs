@@ -238,6 +238,10 @@ impl Switch for IslipSwitch {
         // worth of queues; multicast expansion only lowers the packet
         // count per copy.
         self.ledger.reserve(n.saturating_mul(copies_per_voq));
+        // An input can be granted by every output in one iteration.
+        for g in &mut self.grants {
+            g.reserve(n);
+        }
         self.spare_departures.reserve(n);
     }
 }

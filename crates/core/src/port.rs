@@ -1,7 +1,7 @@
 //! One input port: data-cell buffer plus `N` virtual output queues, with
 //! the packet preprocessing of the paper's Table 1.
 
-use fifoms_types::{Packet, PacketId, PortId, Slot};
+use fifoms_types::{Packet, PacketId, PortId, PortSet, Slot};
 
 use crate::buffer::{AdmissionPolicy, BufferConfig};
 use crate::cell::{AddressCell, DataCellKey};
@@ -72,10 +72,13 @@ impl InputPort {
             .slab
             .alloc(packet.id, packet.arrival, packet.fanout() as u32);
         for dest in &packet.dests {
-            self.voqs.queue_mut(dest).push_back(AddressCell {
-                time_stamp: packet.arrival,
-                data: key,
-            });
+            self.voqs.push_back(
+                dest,
+                AddressCell {
+                    time_stamp: packet.arrival,
+                    data: key,
+                },
+            );
         }
         key
     }
@@ -123,10 +126,7 @@ impl InputPort {
                 // `longest_queue` reported the victim nonempty; if the
                 // pop still comes back empty, shed instead of panicking.
                 let popped = victim.and_then(|(victim_q, _)| {
-                    self.voqs
-                        .queue_mut(victim_q)
-                        .pop_back()
-                        .map(|cell| (victim_q, cell))
+                    self.voqs.pop_back(victim_q).map(|cell| (victim_q, cell))
                 });
                 match popped {
                     Some((victim_q, cell)) => {
@@ -156,10 +156,13 @@ impl InputPort {
                 .slab
                 .alloc(packet.id, packet.arrival, admitted.len() as u32);
             for dest in &admitted {
-                self.voqs.queue_mut(*dest).push_back(AddressCell {
-                    time_stamp: packet.arrival,
-                    data: key,
-                });
+                self.voqs.push_back(
+                    *dest,
+                    AddressCell {
+                        time_stamp: packet.arrival,
+                        data: key,
+                    },
+                );
             }
             Some(key)
         };
@@ -203,8 +206,9 @@ impl InputPort {
     }
 
     /// Structural invariant: the sum of fanout counters of live data cells
-    /// equals the number of queued address cells, and every queued address
-    /// cell points at a live data cell. Used by tests and debug builds.
+    /// equals the number of queued address cells, every queued address
+    /// cell points at a live data cell, and the VOQ occupancy mask names
+    /// exactly the non-empty queues. Used by tests and debug builds.
     pub fn check_invariants(&self) {
         let counter_sum: usize = self
             .slab
@@ -215,6 +219,14 @@ impl InputPort {
             counter_sum,
             self.voqs.total_cells(),
             "fanout counters disagree with queued address cells"
+        );
+        let nonempty: PortSet = (0..self.voqs.outputs())
+            .filter(|&o| !self.voqs.queue(PortId::new(o)).is_empty())
+            .collect();
+        assert_eq!(
+            *self.voqs.heads(),
+            nonempty,
+            "VOQ occupancy mask disagrees with the non-empty queues"
         );
         for o in 0..self.voqs.outputs() {
             for cell in self.voqs.queue(PortId::new(o)).iter() {
@@ -232,7 +244,7 @@ impl InputPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifoms_types::{PacketId, PortSet, Slot};
+    use fifoms_types::{PacketId, Slot};
 
     fn packet(id: u64, arrival: u64, dests: &[usize]) -> Packet {
         Packet::new(

@@ -79,7 +79,7 @@ impl ScheduleOutcome {
         ScheduleOutcome {
             schedule: CrossbarSchedule::empty(n),
             rounds: 0,
-            grants: vec![PortSet::new(); n],
+            grants: vec![PortSet::with_capacity(n); n],
         }
     }
 }
@@ -89,6 +89,12 @@ impl ScheduleOutcome {
 /// Stateless between slots except for the rotating tie-break pointer; the
 /// queue state lives in [`InputPort`]s and randomness is supplied by the
 /// caller, which keeps the scheduler deterministic under a seeded RNG.
+///
+/// Arbitration is word-parallel: free inputs and outputs are [`PortSet`]s,
+/// an input finds its candidate head-of-line cells as its VOQ occupancy
+/// mask intersected with the free outputs, and each output's requesters
+/// form an input set. A round therefore touches only the HOL cells that
+/// can still be served instead of rescanning all `N` VOQs per input.
 ///
 /// # Examples
 ///
@@ -113,17 +119,50 @@ impl ScheduleOutcome {
 pub struct FifomsScheduler {
     config: FifomsConfig,
     rotate: usize,
-    // Scratch buffers reused across slots so the steady-state matching
-    // loop performs no heap allocation (verified by the alloc-audit
-    // harness). They hold no state between calls — every `schedule_into`
-    // clears them first.
-    input_free: Vec<bool>,
-    output_free: Vec<bool>,
-    /// Per input, the smallest eligible HOL stamp found in this round's
-    /// scan (the request step's first pass).
-    smallest: Vec<Option<Slot>>,
-    /// Per output, the requesting `(stamp, input)`s of the current round.
-    requests: Vec<Vec<(Slot, usize)>>,
+    scratch: Scratch,
+}
+
+/// Port sets reused across slots so the steady-state matching loop
+/// performs no heap allocation (verified by the alloc-audit harness). They
+/// are sized for the switch on first use — above 128 ports their words
+/// are allocated then, once — and hold no state between calls: every
+/// `schedule_into` refills the free sets, and every round clears the
+/// request sets it filled.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Inputs not yet granted anything this slot.
+    free_inputs: PortSet,
+    /// Outputs not yet granted this slot.
+    free_outputs: PortSet,
+    /// One input's candidates: its non-empty VOQs toward free outputs.
+    candidates: PortSet,
+    /// Per input, this round's request: the candidate outputs whose HOL
+    /// cells carry the input's smallest candidate stamp (empty when it has
+    /// no candidate).
+    request: Vec<PortSet>,
+    /// Per input, that smallest stamp.
+    stamp: Vec<Slot>,
+    /// Outputs requested this round.
+    requested: PortSet,
+    /// Per output, the inputs requesting it this round.
+    requesters: Vec<PortSet>,
+    /// One output's eligible requesters tied at the smallest stamp.
+    tied: PortSet,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Scratch {
+        Scratch {
+            free_inputs: PortSet::with_capacity(n),
+            free_outputs: PortSet::with_capacity(n),
+            candidates: PortSet::with_capacity(n),
+            request: vec![PortSet::with_capacity(n); n],
+            stamp: vec![Slot(0); n],
+            requested: PortSet::with_capacity(n),
+            requesters: vec![PortSet::with_capacity(n); n],
+            tied: PortSet::with_capacity(n),
+        }
+    }
 }
 
 impl FifomsScheduler {
@@ -132,10 +171,7 @@ impl FifomsScheduler {
         FifomsScheduler {
             config,
             rotate: 0,
-            input_free: Vec::new(),
-            output_free: Vec::new(),
-            smallest: Vec::new(),
-            requests: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -150,7 +186,7 @@ impl FifomsScheduler {
     }
 
     /// The round-robin rotation cursor — the scheduler's only cross-slot
-    /// mutable state (the scratch buffers are cleared every call).
+    /// mutable state (the scratch sets are refilled every call).
     pub fn rotate(&self) -> usize {
         self.rotate
     }
@@ -193,7 +229,13 @@ impl FifomsScheduler {
     /// [`FifomsScheduler::schedule_avoiding`] writing the matching into a
     /// caller-owned outcome instead of allocating a fresh one, so a switch
     /// can reuse one `ScheduleOutcome` (and this scheduler its scratch
-    /// buffers) for an allocation-free steady-state slot loop.
+    /// sets) for an allocation-free steady-state slot loop.
+    ///
+    /// Under [`TieBreak::Random`] the RNG is drawn exactly once per granted
+    /// output — `gen_range(0..tied)` over the eligible requesters tied at
+    /// the smallest stamp, in ascending input order — even when a single
+    /// requester is tied, so the draw sequence is a function of the
+    /// matching alone.
     ///
     /// With `spans = Some(buf)`, appends one [`SpanSample`] per scheduling
     /// sub-phase (`voq_scan`, `request`, `grant`) covering this call; with
@@ -220,27 +262,28 @@ impl FifomsScheduler {
         for g in &mut out.grants {
             g.clear();
         }
-        out.grants.resize_with(n, PortSet::new);
-        let grants = &mut out.grants;
+        out.grants.resize_with(n, || PortSet::with_capacity(n));
 
         let Self {
             config,
             rotate,
-            input_free,
-            output_free,
-            smallest,
-            requests,
+            scratch,
         } = self;
-        input_free.clear();
-        input_free.resize(n, true);
-        output_free.clear();
-        output_free.resize(n, true);
-        smallest.clear();
-        smallest.resize(n, None);
-        requests.resize_with(n, Vec::new);
-        let path_live = |i: usize, o: PortId| {
-            avoid.is_none_or(|(sb, now)| !sb.is_quarantined(PortId::new(i), o, now))
-        };
+        if scratch.request.len() != n {
+            *scratch = Scratch::new(n);
+        }
+        let Scratch {
+            free_inputs,
+            free_outputs,
+            candidates,
+            request,
+            stamp,
+            requested,
+            requesters,
+            tied,
+        } = scratch;
+        free_inputs.fill(n);
+        free_outputs.fill(n);
 
         loop {
             if let Some(cap) = config.max_rounds {
@@ -249,27 +292,52 @@ impl FifomsScheduler {
                 }
             }
             // ---- request step, first pass: VOQ scan ----
-            // Each free input scans its HOL cells for the smallest stamp
-            // among cells whose outputs are still free.
+            // Each free input takes its non-empty VOQs toward free outputs
+            // and keeps those whose HOL cell carries the smallest stamp.
+            // Inputs granted in an earlier round are no longer free: their
+            // other same-stamp HOL cells lost their outputs' arbitration
+            // and may not request again (§III-B.1 case 2).
             let lap = timing.then(SpanTimer::start);
-            for ((i, port), slot) in ports.iter().enumerate().zip(smallest.iter_mut()) {
-                *slot = None;
-                debug_assert!(i < input_free.len(), "input_free resized to n at entry");
-                if !input_free[i] {
-                    // The input already sent grants this slot; its other
-                    // same-stamp HOL cells lost their outputs' arbitration
-                    // in earlier rounds and may not request again (§III-B.1
-                    // case 2).
-                    continue;
-                }
-                for (o, cell) in port.voqs().hol_cells() {
-                    debug_assert!(o.index() < output_free.len(), "square switch: o < n");
-                    if output_free[o.index()]
-                        && path_live(i, o)
-                        && slot.is_none_or(|ts| cell.time_stamp < ts)
-                    {
-                        *slot = Some(cell.time_stamp);
+            for i in free_inputs.iter() {
+                let (Some(port), Some(req), Some(min)) = (
+                    ports.get(i.index()),
+                    request.get_mut(i.index()),
+                    stamp.get_mut(i.index()),
+                ) else {
+                    continue; // unreachable: free inputs are < n
+                };
+                let voqs = port.voqs();
+                candidates.clear();
+                candidates.union_with(voqs.heads());
+                candidates.intersect_with(free_outputs);
+                req.clear();
+                let mut smallest: Option<Slot> = None;
+                for o in candidates.iter() {
+                    if avoid.is_some_and(|(sb, now)| sb.is_quarantined(i, o, now)) {
+                        continue;
                     }
+                    // Every candidate is a non-empty VOQ (the heads mask).
+                    let Some(cell) = voqs.queue(o).hol() else {
+                        continue;
+                    };
+                    match smallest {
+                        Some(ts) if cell.time_stamp > ts => {}
+                        Some(ts) if cell.time_stamp == ts => {
+                            if !config.single_request {
+                                req.insert(o);
+                            }
+                        }
+                        // A new smallest stamp (ascending output order, so
+                        // `single_request` keeps the lowest such output).
+                        _ => {
+                            smallest = Some(cell.time_stamp);
+                            req.clear();
+                            req.insert(o);
+                        }
+                    }
+                }
+                if let Some(ts) = smallest {
+                    *min = ts;
                 }
             }
             if let Some(t) = lap {
@@ -278,64 +346,73 @@ impl FifomsScheduler {
 
             // ---- request step, second pass: send requests ----
             let lap = timing.then(SpanTimer::start);
-            let mut any_request = false;
-            for req in requests.iter_mut() {
-                req.clear();
-            }
-            for ((i, port), &slot) in ports.iter().enumerate().zip(smallest.iter()) {
-                let Some(stamp) = slot else { continue };
-                for (o, cell) in port.voqs().hol_cells() {
-                    debug_assert!(o.index() < output_free.len(), "square switch: o < n");
-                    if output_free[o.index()] && path_live(i, o) && cell.time_stamp == stamp {
-                        // `o < n` (square-switch invariant), so the lookup
-                        // always hits.
-                        if let Some(req) = requests.get_mut(o.index()) {
-                            req.push((stamp, i));
-                            any_request = true;
-                        }
-                        if config.single_request {
-                            break; // ablation: one request per input
-                        }
+            requested.clear();
+            for i in free_inputs.iter() {
+                let Some(req) = request.get(i.index()) else {
+                    continue;
+                };
+                for o in req.iter() {
+                    if let Some(inputs) = requesters.get_mut(o.index()) {
+                        inputs.insert(i);
                     }
                 }
+                requested.union_with(req);
             }
             if let Some(t) = lap {
                 request_ns += t.elapsed_ns();
             }
-            if !any_request {
+            if requested.is_empty() {
                 break;
             }
 
             // ---- grant step ----
+            // Each requested output grants the smallest stamp among its
+            // requesters. Inputs that hit the restricted-fanout cap this
+            // slot are ineligible; the output falls back to the next-oldest
+            // eligible requester (or stays idle).
             let lap = timing.then(SpanTimer::start);
             let mut matched = false;
-            let fanout_cap = config.max_grant_fanout.unwrap_or(usize::MAX);
-            for (o, req) in requests.iter().enumerate() {
-                debug_assert!(o < output_free.len(), "requests and output_free both sized n");
-                if !output_free[o] || req.is_empty() {
-                    continue;
-                }
-                // Inputs that hit the restricted-fanout cap this slot are
-                // ineligible; the output falls back to the next-oldest
-                // eligible requester (or stays idle).
-                let mut min_ts: Option<Slot> = None;
-                for &(ts, i) in req.iter() {
-                    let eligible = grants.get(i).is_some_and(|g| g.len() < fanout_cap);
-                    if eligible && min_ts.is_none_or(|m| ts < m) {
-                        min_ts = Some(ts);
-                    }
-                }
-                let Some(min_ts) = min_ts else {
+            for o in requested.iter() {
+                debug_assert!(free_outputs.contains(o), "only free outputs are requested");
+                let Some(inputs) = requesters.get_mut(o.index()) else {
                     continue;
                 };
-                let winner = Self::pick_winner(config, *rotate, req, min_ts, grants, fanout_cap, rng);
-                debug_assert!(
-                    winner < input_free.len() && winner < grants.len(),
-                    "pick_winner returns a requester input, and requesters are < n"
-                );
-                output_free[o] = false;
-                input_free[winner] = false;
-                grants[winner].insert(PortId::new(o));
+                tied.clear();
+                let mut smallest: Option<Slot> = None;
+                for i in inputs.iter() {
+                    let capped = |cap| out.grants.get(i.index()).is_none_or(|g| g.len() >= cap);
+                    if config.max_grant_fanout.is_some_and(capped) {
+                        continue;
+                    }
+                    let Some(&ts) = stamp.get(i.index()) else {
+                        continue;
+                    };
+                    match smallest {
+                        Some(min) if ts > min => {}
+                        Some(min) if ts == min => {
+                            tied.insert(i);
+                        }
+                        _ => {
+                            smallest = Some(ts);
+                            tied.clear();
+                            tied.insert(i);
+                        }
+                    }
+                }
+                inputs.clear();
+                let Some(winner) = Self::pick_winner(config, *rotate, tied, rng) else {
+                    continue; // no eligible requester: the output stays free
+                };
+                let Some(granted) = out.grants.get_mut(winner.index()) else {
+                    continue;
+                };
+                granted.insert(o);
+                free_outputs.remove(o);
+                free_inputs.remove(winner);
+                out.schedule
+                    .try_connect(winner, o)
+                    // fifoms-lint: allow(R3) free_outputs bookkeeping grants each output at most once; an Err is a scheduler bug that must not be masked into a wrong schedule
+                    .expect("grant bookkeeping produced an illegal schedule");
                 matched = true;
             }
             if let Some(t) = lap {
@@ -348,12 +425,6 @@ impl FifomsScheduler {
         }
         *rotate = (*rotate + 1) % n.max(1);
 
-        for (i, outs) in grants.iter().enumerate() {
-            out.schedule
-                .try_connect_multicast(PortId::new(i), outs)
-                // fifoms-lint: allow(R3) output_free bookkeeping grants each output at most once; an Err is a scheduler bug that must not be masked into a wrong schedule
-                .expect("grant bookkeeping produced an illegal schedule");
-        }
         if let Some(spans) = spans {
             spans.push(SpanSample {
                 name: "voq_scan",
@@ -370,61 +441,136 @@ impl FifomsScheduler {
         }
     }
 
-    /// Arbitration among the requests of one output: of the requesters
-    /// tied at `min_ts` (and still under the fanout cap), pick one per the
-    /// configured tie-break. Streams over the request list instead of
-    /// collecting the tied set, but consumes the RNG identically to the
-    /// collecting formulation: one `gen_range(0..tied_count)` call per
-    /// granted output.
+    /// Arbitration among the requesters of one output tied at the smallest
+    /// stamp (and still under the fanout cap): pick one per the configured
+    /// tie-break, or `None` when no requester is eligible.
+    /// [`TieBreak::Random`] draws exactly one `gen_range(0..tied)` and takes
+    /// that position in ascending input order.
     fn pick_winner(
         config: &FifomsConfig,
         rotate: usize,
-        req: &[(Slot, usize)],
-        min_ts: Slot,
-        grants: &[PortSet],
-        fanout_cap: usize,
+        tied: &PortSet,
         rng: &mut SmallRng,
-    ) -> usize {
-        // Mirrors the eligibility test of the caller's min-stamp scan —
-        // the two must agree or the RNG range drifts off the tied set.
-        let tied = |ts: Slot, i: usize| {
-            ts == min_ts && grants.get(i).is_some_and(|g| g.len() < fanout_cap)
-        };
-        let mut count = 0usize;
-        let mut lowest = usize::MAX;
-        for &(ts, i) in req {
-            if tied(ts, i) {
-                count += 1;
-                lowest = lowest.min(i);
-            }
+    ) -> Option<PortId> {
+        if tied.is_empty() {
+            return None;
         }
-        debug_assert!(count > 0);
-        // `min_ts` came from this same request list, so some entry is tied;
-        // the fallbacks keep the arbiter total without a panic path in the
-        // per-slot loop.
-        let lowest = if lowest == usize::MAX { 0 } else { lowest };
         match config.tie_break {
-            TieBreak::Random => {
-                let k = rng.gen_range(0..count.max(1));
-                let mut seen = 0usize;
-                for &(ts, i) in req {
-                    if tied(ts, i) {
-                        if seen == k {
-                            return i;
+            TieBreak::Random => tied.iter().nth(rng.gen_range(0..tied.len())),
+            TieBreak::LowestInput => tied.first(),
+            TieBreak::Rotating => tied
+                .iter()
+                .find(|i| i.index() >= rotate)
+                .or_else(|| tied.first()),
+        }
+    }
+}
+
+/// Test oracle: the paper's Table 2, transcribed literally.
+///
+/// Each round rescans all `N` VOQs of every free input twice — once for
+/// its smallest eligible stamp, once to send requests — and collects
+/// `(stamp, input)` request lists per output; each output then grants the
+/// smallest stamp. No occupancy mask, no port sets, no reused buffers: the
+/// only thing it shares with [`FifomsScheduler`] is the queue state it
+/// reads. The fast path must agree with it call by call — grants, rounds,
+/// schedule and every RNG draw.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use fifoms_fabric::{CrossbarSchedule, FaultScoreboard};
+    use fifoms_types::{PortId, PortSet, Slot};
+    use rand::rngs::SmallRng;
+    use rand::Rng;
+
+    use super::{FifomsConfig, InputPort, ScheduleOutcome, TieBreak};
+
+    /// One slot of FIFOMS under `config`, with the rotating tie-break pointer
+    /// at `rotate` and quarantined paths skipped per `avoid`.
+    pub(crate) fn table2(
+        config: &FifomsConfig,
+        rotate: usize,
+        ports: &[InputPort],
+        avoid: Option<(&FaultScoreboard, Slot)>,
+        rng: &mut SmallRng,
+    ) -> ScheduleOutcome {
+        let n = ports.len();
+        let mut input_free = vec![true; n];
+        let mut output_free = vec![true; n];
+        let mut grants = vec![PortSet::new(); n];
+        let mut rounds = 0u32;
+        let fanout_cap = config.max_grant_fanout.unwrap_or(usize::MAX);
+        // The HOL cell of VOQ (i, o), if it may request: output free, path live.
+        let hol = |i: usize, o: usize, output_free: &[bool]| {
+            let live = avoid
+                .is_none_or(|(sb, now)| !sb.is_quarantined(PortId::new(i), PortId::new(o), now));
+            let cell = ports[i].voqs().queue(PortId::new(o)).hol();
+            cell.filter(|_| output_free[o] && live)
+                .map(|c| c.time_stamp)
+        };
+
+        loop {
+            if config.max_rounds.is_some_and(|cap| rounds >= cap) {
+                break;
+            }
+            // Request step: every free input finds its smallest HOL stamp among
+            // free outputs, then requests every such output.
+            let mut requests: Vec<Vec<(Slot, usize)>> = vec![Vec::new(); n];
+            for i in (0..n).filter(|&i| input_free[i]) {
+                let smallest = (0..n).filter_map(|o| hol(i, o, &output_free)).min();
+                let Some(smallest) = smallest else { continue };
+                for (o, req) in requests.iter_mut().enumerate() {
+                    if hol(i, o, &output_free) == Some(smallest) {
+                        req.push((smallest, i));
+                        if config.single_request {
+                            break;
                         }
-                        seen += 1;
                     }
                 }
-                lowest
             }
-            TieBreak::LowestInput => lowest,
-            TieBreak::Rotating => req
-                .iter()
-                .copied()
-                .filter(|&(ts, i)| tied(ts, i))
-                .map(|(_, i)| i)
-                .find(|&i| i >= rotate)
-                .unwrap_or(lowest),
+            if requests.iter().all(Vec::is_empty) {
+                break;
+            }
+
+            // Grant step: every output grants the oldest eligible request,
+            // breaking ties among the oldest per the configured rule.
+            let mut matched = false;
+            for (o, req) in requests.iter().enumerate() {
+                let eligible = |&&(_, i): &&(Slot, usize)| grants[i].len() < fanout_cap;
+                let Some(oldest) = req.iter().filter(eligible).map(|&(ts, _)| ts).min() else {
+                    continue;
+                };
+                let tied: Vec<usize> = req
+                    .iter()
+                    .filter(eligible)
+                    .filter(|&&(ts, _)| ts == oldest)
+                    .map(|&(_, i)| i)
+                    .collect();
+                let winner = match config.tie_break {
+                    TieBreak::Random => tied[rng.gen_range(0..tied.len())],
+                    TieBreak::LowestInput => tied[0],
+                    TieBreak::Rotating => *tied.iter().find(|&&i| i >= rotate).unwrap_or(&tied[0]),
+                };
+                output_free[o] = false;
+                input_free[winner] = false;
+                grants[winner].insert(PortId::new(o));
+                matched = true;
+            }
+            if !matched {
+                break;
+            }
+            rounds += 1;
+        }
+
+        let mut schedule = CrossbarSchedule::empty(n);
+        for (i, outs) in grants.iter().enumerate() {
+            schedule
+                .try_connect_multicast(PortId::new(i), outs)
+                .unwrap();
+        }
+        ScheduleOutcome {
+            schedule,
+            rounds,
+            grants,
         }
     }
 }
@@ -675,44 +821,96 @@ mod tests {
         assert_eq!(out.grants[0].len(), 8 - out.grants.iter().skip(1).map(PortSet::len).sum::<usize>());
     }
 
-    /// Random queue states for the property tests.
+    /// Switch sizes for the property tests: inside one word, past one
+    /// word (still inline) and past the inline limit (heap-spilled sets).
+    const SIZES: [usize; 3] = [6, 70, 200];
+
+    /// Random queue states for the property tests: `N` drawn from
+    /// [`SIZES`], up to five packets per input with stamps in `0..16` (so
+    /// equal stamps across inputs are common) and fanout 1..=5.
     fn arb_state() -> impl Strategy<Value = Vec<InputPort>> {
-        proptest::collection::vec(
+        let max = SIZES[SIZES.len() - 1];
+        (
+            0..SIZES.len(),
             proptest::collection::vec(
-                (0u64..16, proptest::collection::btree_set(0usize..6, 1..6)),
-                0..6,
+                proptest::collection::vec(
+                    (0u64..16, proptest::collection::btree_set(0..max, 1..6)),
+                    0..6,
+                ),
+                max,
             ),
-            6,
         )
-        .prop_map(|per_input| {
-            let mut id = 0u64;
-            per_input
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut pkts)| {
-                    let mut port = InputPort::new(6);
-                    // packets must be admitted in nondecreasing stamp order
-                    pkts.sort_by_key(|&(ts, _)| ts);
-                    let mut last = None;
-                    for (ts, dests) in pkts {
-                        // dedupe stamps within an input (one arrival per slot)
-                        let ts = match last {
-                            Some(prev) if ts <= prev => prev + 1,
-                            _ => ts,
-                        };
-                        last = Some(ts);
-                        id += 1;
-                        port.admit(&Packet::new(
-                            PacketId(id),
-                            Slot(ts),
-                            PortId::new(i),
-                            dests.iter().copied().collect(),
-                        ));
+            .prop_map(|(size, per_input)| {
+                let n = SIZES[size];
+                let mut id = 0u64;
+                per_input
+                    .into_iter()
+                    .take(n)
+                    .enumerate()
+                    .map(|(i, mut pkts)| {
+                        let mut port = InputPort::new(n);
+                        // packets must be admitted in nondecreasing stamp order
+                        pkts.sort_by_key(|&(ts, _)| ts);
+                        let mut last = None;
+                        for (ts, dests) in pkts {
+                            // dedupe stamps within an input (one arrival per slot)
+                            let ts = match last {
+                                Some(prev) if ts <= prev => prev + 1,
+                                _ => ts,
+                            };
+                            last = Some(ts);
+                            id += 1;
+                            port.admit(&Packet::new(
+                                PacketId(id),
+                                Slot(ts),
+                                PortId::new(i),
+                                dests.iter().map(|d| d % n).collect(),
+                            ));
+                        }
+                        port
+                    })
+                    .collect()
+            })
+    }
+
+    /// Every configuration the oracle diff covers: the three tie-breaks ×
+    /// round caps {∞, 1, 2} × grant-fanout caps {∞, 1, 2} × single request.
+    fn all_configs() -> Vec<FifomsConfig> {
+        let mut configs = Vec::new();
+        for tie_break in [TieBreak::Random, TieBreak::LowestInput, TieBreak::Rotating] {
+            for max_rounds in [None, Some(1), Some(2)] {
+                for max_grant_fanout in [None, Some(1), Some(2)] {
+                    for single_request in [false, true] {
+                        configs.push(FifomsConfig {
+                            tie_break,
+                            max_rounds,
+                            single_request,
+                            max_grant_fanout,
+                        });
                     }
-                    port
-                })
-                .collect()
-        })
+                }
+            }
+        }
+        configs
+    }
+
+    /// The slot the scoreboard is consulted at.
+    const NOW: Slot = Slot(10);
+
+    /// A scoreboard quarantining about a third of the HOL paths in
+    /// `ports` and holding an expired mark on a few more (window 4 slots
+    /// at [`NOW`]: marks at slots 7..=9 are live, earlier ones expired).
+    fn scoreboard_over(ports: &[InputPort], seed: u64) -> FaultScoreboard {
+        let mut sb = FaultScoreboard::new(ports.len(), 4);
+        let mut r = SmallRng::seed_from_u64(seed);
+        for (i, port) in ports.iter().enumerate() {
+            for (o, _) in port.voqs().hol_cells() {
+                if r.gen_range(0..2u32) == 0 {
+                    sb.record_failure(PortId::new(i), o, Slot(r.gen_range(2..10u64)));
+                }
+            }
+        }
+        sb
     }
 
     proptest! {
@@ -735,8 +933,9 @@ mod tests {
                 prop_assert!(stamps.windows(2).all(|w| w[0] == w[1]));
             }
             // maximality
+            let n = ports.len();
             let matched_inputs: Vec<bool> =
-                (0..6).map(|i| !out.grants[i].is_empty()).collect();
+                (0..n).map(|i| !out.grants[i].is_empty()).collect();
             for (i, port) in ports.iter().enumerate() {
                 if matched_inputs[i] {
                     continue;
@@ -749,7 +948,7 @@ mod tests {
                 }
             }
             // rounds bounded by N
-            prop_assert!(out.rounds <= 6);
+            prop_assert!(out.rounds as usize <= n);
         }
 
         /// The oldest HOL stamp present in the system always gets matched
@@ -770,6 +969,34 @@ mod tests {
                         && p.voqs().hol_cells().any(|(_, c)| c.time_stamp == oldest)
                 });
                 prop_assert!(served, "globally oldest stamp {oldest} unserved");
+            }
+        }
+
+        /// The word-parallel fast path agrees with the Table 2 oracle call
+        /// by call — grants, rounds, schedule and RNG state afterwards —
+        /// for every configuration, with and without quarantined paths.
+        /// One scheduler and one outcome serve every call of a case, so
+        /// reused scratch must carry nothing over.
+        #[test]
+        fn prop_fast_path_matches_table2_oracle(ports in arb_state(), seed in 0u64..1_000) {
+            let faulted = scoreboard_over(&ports, seed);
+            prop_assert!(!faulted.is_empty() || ports.iter().all(|p| p.voqs().is_empty()));
+            let mut out = ScheduleOutcome::empty(ports.len());
+            for config in all_configs() {
+                let mut sched = FifomsScheduler::new(config);
+                sched.restore_rotate(seed as usize % ports.len());
+                for avoid in [None, Some((&faulted, NOW))] {
+                    let rotate = sched.rotate();
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let mut oracle_rng = rng.clone();
+                    sched.schedule_into(&ports, avoid, &mut rng, &mut out, None);
+                    let want = oracle::table2(&config, rotate, &ports, avoid, &mut oracle_rng);
+                    let case = format!("{config:?}, faulted {}", avoid.is_some());
+                    prop_assert_eq!(&out.grants, &want.grants, "grants: {}", case);
+                    prop_assert_eq!(out.rounds, want.rounds, "rounds: {}", case);
+                    prop_assert_eq!(&out.schedule, &want.schedule, "schedule: {}", case);
+                    prop_assert_eq!(rng.state(), oracle_rng.state(), "rng: {}", case);
+                }
             }
         }
     }

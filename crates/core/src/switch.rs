@@ -234,7 +234,7 @@ impl Switch for MulticastVoqSwitch {
             return;
         };
         for dest in &packet.dests {
-            if let Some(depth) = port.voqs_mut().queue_mut(dest).take_high_water() {
+            if let Some(depth) = port.voqs_mut().take_high_water(dest) {
                 debug_assert!(depth >= crate::buffer::SOFT_HIGH_WATER);
                 self.events.push(ObsEvent::VoqHighWater {
                     slot,
@@ -279,8 +279,7 @@ impl Switch for MulticastVoqSwitch {
             for output in grants {
                 let cell = port
                     .voqs_mut()
-                    .queue_mut(output)
-                    .pop_front()
+                    .pop_front(output)
                     // fifoms-lint: allow(R3) INVARIANT: requests are built from HOL cells, so the scheduler only grants non-empty VOQs
                     .expect("granted VOQ had no HOL cell");
                 match shared_key {
@@ -345,10 +344,13 @@ impl Switch for MulticastVoqSwitch {
         };
         // Head-of-queue re-insertion preserves Theorem 1: the retried cell
         // was this VOQ's HOL, so its stamp is <= every cell behind it.
-        port.voqs_mut().queue_mut(d.output).push_front(AddressCell {
-            time_stamp: d.arrival,
-            data: key,
-        });
+        port.voqs_mut().push_front(
+            d.output,
+            AddressCell {
+                time_stamp: d.arrival,
+                data: key,
+            },
+        );
         RetryDisposition::Requeued
     }
 
@@ -508,6 +510,7 @@ impl Checkpoint for MulticastVoqSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::oracle;
     use fifoms_types::{PacketId, PortId, PortSet};
 
     fn pkt(id: u64, arrival: u64, input: u16, dests: &[usize]) -> Packet {
@@ -1033,6 +1036,104 @@ mod tests {
         // After identical continuation, re-snapshotting both yields
         // identical bytes.
         assert_eq!(original.snapshot_state(), twin.snapshot_state());
+    }
+
+    /// Run one slot and check its schedule against the Table 2 oracle run
+    /// on the same queue state, rotation, scoreboard and RNG.
+    fn run_slot_against_oracle(sw: &mut MulticastVoqSwitch, now: Slot) -> SlotOutcome {
+        let avoid = (!sw.scoreboard.is_empty()).then_some((&sw.scoreboard, now));
+        let mut rng = sw.rng.clone();
+        let config = sw.scheduler.config();
+        let want = oracle::table2(&config, sw.scheduler.rotate(), &sw.ports, avoid, &mut rng);
+        let out = sw.run_slot(now);
+        assert_eq!(sw.sched_out.grants, want.grants, "grants at {now}");
+        assert_eq!(sw.sched_out.rounds, want.rounds, "rounds at {now}");
+        assert_eq!(sw.sched_out.schedule, want.schedule, "schedule at {now}");
+        assert_eq!(sw.rng.state(), rng.state(), "rng at {now}");
+        sw.check_invariants();
+        out
+    }
+
+    #[test]
+    fn fast_path_matches_table2_oracle_across_slots() {
+        // Multi-slot differential through the switch: overloaded random
+        // multicast, unbounded and pushout admission, egress faults that
+        // requeue or drop copies (so the scoreboard is consulted), and a
+        // checkpoint restore into a fresh switch halfway.
+        use crate::{AdmissionPolicy, BufferConfig, TieBreak};
+        use rand::Rng;
+        let configs = [
+            FifomsConfig::default(),
+            FifomsConfig {
+                tie_break: TieBreak::Rotating,
+                max_grant_fanout: Some(2),
+                ..FifomsConfig::default()
+            },
+            FifomsConfig {
+                tie_break: TieBreak::LowestInput,
+                max_rounds: Some(1),
+                single_request: true,
+                ..FifomsConfig::default()
+            },
+        ];
+        let pushout = BufferConfig {
+            voq_cap: Some(6),
+            input_cap: Some(20),
+            policy: AdmissionPolicy::Pushout,
+        };
+        let n = 12;
+        for (c, config) in configs.into_iter().enumerate() {
+            for buffers in [BufferConfig::unbounded(), pushout] {
+                let build = |seed| {
+                    MulticastVoqSwitch::with_config(n, seed, config)
+                        .with_buffers(buffers)
+                        .with_quarantine_slots(3)
+                };
+                let mut sw = build(5);
+                let mut r = SmallRng::seed_from_u64(c as u64);
+                let (mut id, mut requeued, mut dropped) = (0u64, 0, 0);
+                for t in 0..400u64 {
+                    for input in 0..n {
+                        if r.gen_bool(0.5) {
+                            let mut dests = PortSet::new();
+                            for _ in 0..r.gen_range(1..=4u32) {
+                                dests.insert(PortId::new(r.gen_range(0..n)));
+                            }
+                            id += 1;
+                            sw.admit(Packet::new(
+                                PacketId(id),
+                                Slot(t),
+                                PortId::new(input),
+                                dests,
+                            ));
+                        }
+                    }
+                    let out = run_slot_against_oracle(&mut sw, Slot(t));
+                    for d in &out.departures {
+                        if r.gen_range(0..8u32) == 0 {
+                            match sw.copy_failed(d, Slot(t), r.gen_bool(0.5)) {
+                                RetryDisposition::Requeued => requeued += 1,
+                                RetryDisposition::Dropped => dropped += 1,
+                                other => panic!("unexpected disposition {other:?}"),
+                            }
+                        }
+                    }
+                    sw.recycle(out);
+                    if t == 200 {
+                        let mut twin = build(999);
+                        twin.restore_state(&sw.snapshot_state()).unwrap();
+                        sw = twin;
+                    }
+                }
+                assert!(
+                    requeued > 0 && dropped > 0,
+                    "faults must exercise both dispositions"
+                );
+                let mut drops = Vec::new();
+                sw.drain_admission_drops(&mut drops);
+                assert_eq!(drops.is_empty(), !buffers.is_bounded());
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use fifoms_types::{PortId, StateError, StateReader, StateWriter};
+use fifoms_types::{PortId, PortSet, StateError, StateReader, StateWriter};
 
 use crate::buffer::SOFT_HIGH_WATER;
 use crate::cell::{AddressCell, DataCellKey};
@@ -154,10 +154,17 @@ impl Voq {
 
 /// The `N` virtual output queues of one input port (paper §II: "there are
 /// N virtual output queues to store the address cells for the N output
-/// ports").
+/// ports"), plus an occupancy mask of the non-empty ones.
+///
+/// The mask lets the scheduler find an input's head-of-line cells with
+/// word operations instead of walking all `N` queues. Every mutation goes
+/// through this set's `push_*`/`pop_*` methods, which keep the mask in
+/// step; the mask is never serialised, [`VoqSet::read_state`] rebuilds it.
 #[derive(Clone, Debug)]
 pub struct VoqSet {
     queues: Vec<Voq>,
+    // INVARIANT: bit o of heads is set iff queues[o] is non-empty.
+    heads: PortSet,
 }
 
 impl VoqSet {
@@ -165,6 +172,7 @@ impl VoqSet {
     pub fn new(n: usize) -> VoqSet {
         VoqSet {
             queues: (0..n).map(|_| Voq::new()).collect(),
+            heads: PortSet::with_capacity(n),
         }
     }
 
@@ -179,10 +187,58 @@ impl VoqSet {
         &self.queues[output.index()]
     }
 
-    /// Mutable queue toward `output`.
-    pub fn queue_mut(&mut self, output: PortId) -> &mut Voq {
+    fn queue_mut(&mut self, output: PortId) -> &mut Voq {
         // fifoms-lint: allow(R10) PortId indices are produced by enumerate over the same fixed N this set was built with
         &mut self.queues[output.index()]
+    }
+
+    /// The outputs whose queues hold a head-of-line cell.
+    #[inline]
+    pub fn heads(&self) -> &PortSet {
+        &self.heads
+    }
+
+    /// Append an address cell to the queue toward `output` (packet
+    /// preprocessing).
+    pub fn push_back(&mut self, output: PortId, cell: AddressCell) {
+        self.queue_mut(output).push_back(cell);
+        self.heads.insert(output);
+    }
+
+    /// Remove and return the head-of-line cell toward `output`
+    /// (post-transmission).
+    pub fn pop_front(&mut self, output: PortId) -> Option<AddressCell> {
+        let q = self.queue_mut(output);
+        let cell = q.pop_front();
+        if q.is_empty() {
+            self.heads.remove(output);
+        }
+        cell
+    }
+
+    /// Re-insert an address cell at the head of the queue toward `output`
+    /// (retransmission after an egress fault; see [`Voq::push_front`]).
+    pub fn push_front(&mut self, output: PortId, cell: AddressCell) {
+        self.queue_mut(output).push_front(cell);
+        self.heads.insert(output);
+    }
+
+    /// Remove and return the tail cell toward `output` (admission-control
+    /// pushout; see [`Voq::pop_back`]).
+    pub fn pop_back(&mut self, output: PortId) -> Option<AddressCell> {
+        let q = self.queue_mut(output);
+        let cell = q.pop_back();
+        if q.is_empty() {
+            self.heads.remove(output);
+        }
+        cell
+    }
+
+    /// The one-shot soft high-water crossing depth of the queue toward
+    /// `output`, if it crossed since the last call (see
+    /// [`Voq::take_high_water`]).
+    pub fn take_high_water(&mut self, output: PortId) -> Option<usize> {
+        self.queue_mut(output).take_high_water()
     }
 
     /// Total address cells across all queues (undelivered copies at this
@@ -200,25 +256,18 @@ impl VoqSet {
 
     /// Whether every queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(Voq::is_empty)
+        self.heads.is_empty()
     }
 
-    /// Iterate `(output, hol cell)` over queues with a head-of-line cell.
+    /// Iterate `(output, hol cell)` over queues with a head-of-line cell,
+    /// in ascending output order.
     pub fn hol_cells(&self) -> impl Iterator<Item = (PortId, &AddressCell)> {
-        self.queues
-            .iter()
-            .enumerate()
-            .filter_map(|(o, q)| q.hol().map(|c| (PortId::new(o), c)))
-    }
-
-    /// Append pending soft high-water crossings as `(output, depth)` pairs
-    /// (each queue reports at most one crossing per run).
-    pub fn take_high_water(&mut self, out: &mut Vec<(PortId, usize)>) {
-        for (o, q) in self.queues.iter_mut().enumerate() {
-            if let Some(depth) = q.take_high_water() {
-                out.push((PortId::new(o), depth));
-            }
-        }
+        self.heads.iter().filter_map(move |o| {
+            self.queues
+                .get(o.index())
+                .and_then(Voq::hol)
+                .map(|c| (o, c))
+        })
     }
 
     /// Serialise every queue in output order.
@@ -229,8 +278,9 @@ impl VoqSet {
         }
     }
 
-    /// Restore state captured by [`VoqSet::write_state`]. The queue count
-    /// must match this set's configured `N`.
+    /// Restore state captured by [`VoqSet::write_state`] and rebuild the
+    /// occupancy mask from the restored queues. The queue count must match
+    /// this set's configured `N`.
     pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let count = r.get_usize()?;
         if count != self.queues.len() {
@@ -241,8 +291,12 @@ impl VoqSet {
                 ),
             });
         }
-        for q in &mut self.queues {
+        self.heads.clear();
+        for (o, q) in self.queues.iter_mut().enumerate() {
             q.read_state(r)?;
+            if !q.is_empty() {
+                self.heads.insert(PortId::new(o));
+            }
         }
         Ok(())
     }
@@ -334,9 +388,9 @@ mod tests {
         let mut set = VoqSet::new(4);
         assert_eq!(set.outputs(), 4);
         assert!(set.is_empty());
-        set.queue_mut(PortId(2)).push_back(cell(1, 0));
-        set.queue_mut(PortId(2)).push_back(cell(2, 1));
-        set.queue_mut(PortId(0)).push_back(cell(2, 1));
+        set.push_back(PortId(2), cell(1, 0));
+        set.push_back(PortId(2), cell(2, 1));
+        set.push_back(PortId(0), cell(2, 1));
         assert_eq!(set.total_cells(), 3);
         assert!(!set.is_empty());
         assert_eq!(set.queue(PortId(2)).len(), 2);
@@ -346,13 +400,65 @@ mod tests {
     #[test]
     fn hol_cells_iterates_nonempty_queues() {
         let mut set = VoqSet::new(4);
-        set.queue_mut(PortId(3)).push_back(cell(7, 0));
-        set.queue_mut(PortId(1)).push_back(cell(5, 1));
+        set.push_back(PortId(3), cell(7, 0));
+        set.push_back(PortId(1), cell(5, 1));
         let hols: Vec<(usize, u64)> = set
             .hol_cells()
             .map(|(o, c)| (o.index(), c.time_stamp.index()))
             .collect();
         assert_eq!(hols, vec![(1, 5), (3, 7)]);
+    }
+
+    /// The occupancy mask as the invariant defines it.
+    fn nonempty(set: &VoqSet) -> PortSet {
+        (0..set.outputs())
+            .filter(|&o| !set.queue(PortId::new(o)).is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn heads_track_every_mutation() {
+        let mut set = VoqSet::new(200);
+        set.push_back(PortId(150), cell(1, 0));
+        set.push_back(PortId(3), cell(1, 0));
+        set.push_back(PortId(3), cell(2, 1));
+        assert_eq!(*set.heads(), nonempty(&set));
+        // Popping one of two cells keeps the queue's bit.
+        assert_eq!(set.pop_front(PortId(3)).unwrap().time_stamp, Slot(1));
+        assert_eq!(*set.heads(), nonempty(&set));
+        assert!(set.heads().contains(PortId(3)));
+        // Draining a queue from either end clears it.
+        assert_eq!(set.pop_back(PortId(3)).unwrap().time_stamp, Slot(2));
+        assert_eq!(set.pop_front(PortId(150)).unwrap().time_stamp, Slot(1));
+        assert!(set.heads().is_empty() && set.is_empty());
+        // Popping an empty queue is a no-op, and a retry sets the bit again.
+        assert!(set.pop_front(PortId(3)).is_none());
+        assert!(set.pop_back(PortId(3)).is_none());
+        set.push_front(PortId(7), cell(4, 2));
+        assert_eq!(*set.heads(), PortSet::singleton(PortId(7)));
+    }
+
+    #[test]
+    fn read_state_rebuilds_heads() {
+        let mut set = VoqSet::new(130);
+        set.push_back(PortId(129), cell(1, 0));
+        set.push_back(PortId(4), cell(2, 1));
+        let mut w = StateWriter::new();
+        set.write_state(&mut w);
+        let bytes = w.into_bytes();
+        // The restoring set starts with a different occupancy.
+        let mut restored = VoqSet::new(130);
+        restored.push_back(PortId(0), cell(0, 0));
+        restored.read_state(&mut StateReader::new(&bytes)).unwrap();
+        assert_eq!(*restored.heads(), nonempty(&restored));
+        assert_eq!(
+            restored
+                .heads()
+                .iter()
+                .map(PortId::index)
+                .collect::<Vec<_>>(),
+            vec![4, 129]
+        );
     }
 
     #[test]
@@ -387,20 +493,17 @@ mod tests {
     }
 
     #[test]
-    fn voq_set_collects_crossings_and_longest_queue() {
+    fn voq_set_reports_crossings_and_longest_queue() {
         let mut set = VoqSet::new(4);
         assert_eq!(set.longest_queue(), None);
         for i in 0..SOFT_HIGH_WATER {
-            set.queue_mut(PortId(2)).push_back(cell(i as u64, i as u32));
+            set.push_back(PortId(2), cell(i as u64, i as u32));
         }
-        set.queue_mut(PortId(0)).push_back(cell(0, 0));
+        set.push_back(PortId(0), cell(0, 0));
         assert_eq!(set.longest_queue(), Some((PortId(2), SOFT_HIGH_WATER)));
-        let mut crossings = Vec::new();
-        set.take_high_water(&mut crossings);
-        assert_eq!(crossings, vec![(PortId(2), SOFT_HIGH_WATER)]);
-        crossings.clear();
-        set.take_high_water(&mut crossings);
-        assert!(crossings.is_empty());
+        assert_eq!(set.take_high_water(PortId(0)), None);
+        assert_eq!(set.take_high_water(PortId(2)), Some(SOFT_HIGH_WATER));
+        assert_eq!(set.take_high_water(PortId(2)), None);
     }
 
     #[test]

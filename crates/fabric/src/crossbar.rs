@@ -1,7 +1,5 @@
 //! The crossbar fabric: applies schedules and keeps usage accounting.
 
-use fifoms_types::PortId;
-
 use crate::CrossbarSchedule;
 
 /// Cumulative fabric usage statistics.
@@ -46,6 +44,10 @@ impl FabricStats {
 pub struct Crossbar {
     n: usize,
     stats: FabricStats,
+    // Scratch for `apply`: outputs driven per input in the slot being
+    // applied. Sized on the first call and refilled every call, so it is
+    // not checkpointed state.
+    drives: Vec<u32>,
 }
 
 impl Crossbar {
@@ -59,6 +61,7 @@ impl Crossbar {
         Crossbar {
             n,
             stats: FabricStats::default(),
+            drives: Vec::new(),
         }
     }
 
@@ -67,7 +70,9 @@ impl Crossbar {
         self.n
     }
 
-    /// Apply one slot's schedule, updating accounting.
+    /// Apply one slot's schedule, updating accounting. Linear in `N`: one
+    /// pass over the schedule's driver table, and no allocation after the
+    /// first call.
     ///
     /// # Panics
     ///
@@ -84,19 +89,27 @@ impl Crossbar {
             self.n
         );
         self.stats.slots += 1;
-        let conns = schedule.connections() as u64;
+        // One pass over the driver table counts the outputs each input
+        // drives; inputs driving more than one are multicast transfers.
+        self.drives.clear();
+        self.drives.resize(self.n, 0);
+        let mut conns = 0u64;
+        for (input, _) in schedule.pairs() {
+            if let Some(d) = self.drives.get_mut(input.index()) {
+                *d += 1;
+                conns += 1;
+            }
+        }
         self.stats.crosspoints_set += conns;
         if conns == 0 {
             self.stats.idle_slots += 1;
         }
-        // Count connections belonging to inputs that drive >1 output.
-        let mut mc_conns = 0u64;
-        for i in 0..self.n {
-            let outs = schedule.outputs_of(PortId::new(i)).len() as u64;
-            if outs > 1 {
-                mc_conns += outs;
-            }
-        }
+        let mc_conns: u64 = self
+            .drives
+            .iter()
+            .filter(|&&d| d > 1)
+            .map(|&d| u64::from(d))
+            .sum();
         if mc_conns > 0 {
             self.stats.multicast_slots += 1;
             self.stats.multicast_connections += mc_conns;
@@ -123,7 +136,8 @@ impl Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifoms_types::PortSet;
+    use fifoms_types::{PortId, PortSet};
+    use proptest::prelude::*;
 
     #[test]
     #[should_panic(expected = "at least one port")]
@@ -180,5 +194,54 @@ mod tests {
         let xb = Crossbar::new(4);
         assert_eq!(xb.stats().mean_connections(), 0.0);
         assert_eq!(xb.stats().utilisation(4), 0.0);
+    }
+
+    /// The accounting as defined per input: a slot's multicast transfers
+    /// are the connections of inputs whose `outputs_of` set has more than
+    /// one output.
+    fn reference_apply(stats: &mut FabricStats, schedule: &CrossbarSchedule) {
+        stats.slots += 1;
+        let conns = schedule.connections() as u64;
+        stats.crosspoints_set += conns;
+        if conns == 0 {
+            stats.idle_slots += 1;
+        }
+        let mc_conns: u64 = (0..schedule.ports())
+            .map(|i| schedule.outputs_of(PortId::new(i)).len() as u64)
+            .filter(|&outs| outs > 1)
+            .sum();
+        if mc_conns > 0 {
+            stats.multicast_slots += 1;
+            stats.multicast_connections += mc_conns;
+        }
+    }
+
+    proptest! {
+        /// `apply`'s one-pass count matches the per-input definition over
+        /// random legal schedules, inside and past the inline `PortSet`
+        /// limit.
+        #[test]
+        fn prop_stats_match_outputs_of_definition(
+            size in 0usize..2,
+            slots in proptest::collection::vec(
+                proptest::collection::vec((0u16..200, 0u16..200), 0..60),
+                1..8,
+            ),
+        ) {
+            let n = [8usize, 200][size];
+            let mut xb = Crossbar::new(n);
+            let mut want = FabricStats::default();
+            for conns in slots {
+                let mut b = CrossbarSchedule::builder(n);
+                for (i, o) in conns {
+                    // conflicts are simply rejected, keeping the schedule legal
+                    let _ = b.connect(PortId(i % n as u16), PortId(o % n as u16));
+                }
+                let schedule = b.build();
+                xb.apply(&schedule);
+                reference_apply(&mut want, &schedule);
+                prop_assert_eq!(xb.stats(), want);
+            }
+        }
     }
 }

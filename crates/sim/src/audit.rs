@@ -78,20 +78,23 @@ impl AllocAuditReport {
     }
 }
 
-/// Copies-per-VOQ capacity pre-reserved before an audited run (via
-/// [`Switch::reserve_steady_state`]). Unbounded queues keep setting new
-/// high-water marks — rarely, but forever — so without a reservation the
-/// audit would report a slow trickle of genuine growth allocations. The
-/// reservation turns the claim into the one that matters: with buffers
-/// sized for the operating point, the slot loop itself never allocates.
-/// Depth records past the reservation still show up as failures.
-pub const AUDIT_RESERVE_PER_VOQ: usize = 512;
+/// Queued copies per input port pre-reserved before an audited run (via
+/// [`Switch::reserve_steady_state`], split evenly over the port's `N`
+/// VOQs: 512 per VOQ at N=8, 64 at N=64, 16 at N=256). Unbounded queues
+/// keep setting new high-water marks — rarely, but forever — so without a
+/// reservation the audit would report a slow trickle of genuine growth
+/// allocations. The reservation turns the claim into the one that
+/// matters: with buffers sized for the operating point, the slot loop
+/// itself never allocates. Depth records past the reservation still show
+/// up as failures. A per-port budget rather than a per-VOQ one keeps the
+/// pre-reserved memory linear in `N`.
+pub const AUDIT_RESERVE_PER_INPUT: usize = 4096;
 
 /// Drive `warmup + measure` slots of the engine protocol against
 /// `(switch, traffic)`, attributing allocation-counter deltas of the last
 /// `measure` slots to the four engine phases. Internal queues are
-/// pre-reserved for [`AUDIT_RESERVE_PER_VOQ`] copies per VOQ before
-/// slot 0.
+/// pre-reserved for [`AUDIT_RESERVE_PER_INPUT`] copies per input port
+/// before slot 0.
 ///
 /// `counter` must be monotonically non-decreasing and count allocation
 /// *events* (not bytes); it is read twice per phase per measured slot.
@@ -109,7 +112,7 @@ pub fn alloc_audit(
         });
     }
     let n = switch.ports();
-    switch.reserve_steady_state(AUDIT_RESERVE_PER_VOQ);
+    switch.reserve_steady_state((AUDIT_RESERVE_PER_INPUT / n.max(1)).max(1));
     let mut arrivals: Vec<Option<_>> = Vec::with_capacity(n);
     let mut queue_buf: Vec<usize> = Vec::with_capacity(n);
     let mut next_packet = 0u64;

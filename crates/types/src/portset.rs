@@ -95,15 +95,42 @@ impl PortSet {
         s
     }
 
-    /// The set `{0, 1, ..., n-1}`.
-    pub fn all(n: usize) -> PortSet {
+    /// An empty set that holds ports `0..n` without reallocating. Above
+    /// the inline limit the words are allocated here, up front, so a
+    /// scratch set sized once never touches the heap again.
+    pub fn with_capacity(n: usize) -> PortSet {
         let mut s = PortSet::new();
-        for i in 0..n {
-            s.insert(PortId::new(i));
+        if n > 0 {
+            s.words_mut_with((n - 1) / 64);
         }
         s
     }
 
+    /// The set `{0, 1, ..., n-1}`.
+    pub fn all(n: usize) -> PortSet {
+        let mut s = PortSet::new();
+        s.fill(n);
+        s
+    }
+
+    /// Make this set `{0, 1, ..., n-1}` in place, reusing its storage.
+    #[inline]
+    pub fn fill(&mut self, n: usize) {
+        self.clear();
+        if n == 0 {
+            return;
+        }
+        let words = self.words_mut_with((n - 1) / 64);
+        let (full, rest) = (n / 64, n % 64);
+        for w in &mut words[..full] {
+            *w = u64::MAX;
+        }
+        if rest > 0 {
+            words[full] = (1 << rest) - 1;
+        }
+    }
+
+    #[inline]
     fn words(&self) -> &[u64] {
         match &self.repr {
             Repr::Inline(w) => w,
@@ -112,21 +139,10 @@ impl PortSet {
     }
 
     /// Ensure word `idx` exists and return mutable access to all words.
+    #[inline]
     fn words_mut_with(&mut self, idx: usize) -> &mut [u64] {
-        if idx >= INLINE_WORDS {
-            let needed = idx + 1;
-            match &mut self.repr {
-                Repr::Inline(w) => {
-                    let mut v = vec![0u64; needed];
-                    v[..INLINE_WORDS].copy_from_slice(w);
-                    self.repr = Repr::Heap(v);
-                }
-                Repr::Heap(v) => {
-                    if v.len() < needed {
-                        v.resize(needed, 0);
-                    }
-                }
-            }
+        if idx >= self.words().len() {
+            self.grow(idx + 1);
         }
         match &mut self.repr {
             Repr::Inline(w) => w,
@@ -134,7 +150,23 @@ impl PortSet {
         }
     }
 
+    /// Widen the set to `needed` words, spilling to the heap. Kept out of
+    /// line so the word operations inline to their no-growth fast path.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, needed: usize) {
+        match &mut self.repr {
+            Repr::Inline(w) => {
+                let mut v = vec![0u64; needed.max(INLINE_WORDS)];
+                v[..INLINE_WORDS].copy_from_slice(w);
+                self.repr = Repr::Heap(v);
+            }
+            Repr::Heap(v) => v.resize(needed.max(v.len()), 0),
+        }
+    }
+
     /// Insert a port; returns `true` if it was newly inserted.
+    #[inline]
     pub fn insert(&mut self, port: PortId) -> bool {
         let (w, b) = (port.index() / 64, port.index() % 64);
         let words = self.words_mut_with(w);
@@ -145,6 +177,7 @@ impl PortSet {
 
     /// Remove every port, keeping any heap capacity for reuse (so a set
     /// that is cleared and refilled every slot stays allocation-free).
+    #[inline]
     pub fn clear(&mut self) {
         match &mut self.repr {
             Repr::Inline(ws) => *ws = [0; INLINE_WORDS],
@@ -153,6 +186,7 @@ impl PortSet {
     }
 
     /// Remove a port; returns `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, port: PortId) -> bool {
         let (w, b) = (port.index() / 64, port.index() % 64);
         let words = match &mut self.repr {
@@ -188,6 +222,7 @@ impl PortSet {
     }
 
     /// The smallest port in the set, if any.
+    #[inline]
     pub fn first(&self) -> Option<PortId> {
         for (i, &w) in self.words().iter().enumerate() {
             if w != 0 {
@@ -198,6 +233,7 @@ impl PortSet {
     }
 
     /// In-place union.
+    #[inline]
     pub fn union_with(&mut self, other: &PortSet) {
         let olen = other.words().len();
         if olen > 0 {
@@ -211,6 +247,7 @@ impl PortSet {
     }
 
     /// In-place intersection.
+    #[inline]
     pub fn intersect_with(&mut self, other: &PortSet) {
         let ow = other.words();
         let words = match &mut self.repr {
@@ -223,6 +260,7 @@ impl PortSet {
     }
 
     /// In-place set difference (`self \ other`).
+    #[inline]
     pub fn difference_with(&mut self, other: &PortSet) {
         let ow = other.words();
         let words = match &mut self.repr {
@@ -291,6 +329,7 @@ impl PortSet {
     }
 
     /// Iterate ports in ascending order.
+    #[inline]
     pub fn iter(&self) -> PortSetIter<'_> {
         PortSetIter {
             words: self.words(),
@@ -357,6 +396,7 @@ pub struct PortSetIter<'a> {
 impl Iterator for PortSetIter<'_> {
     type Item = PortId;
 
+    #[inline]
     fn next(&mut self) -> Option<PortId> {
         loop {
             if self.current != 0 {
@@ -437,6 +477,22 @@ mod tests {
         assert_eq!(spilled, PortSet::new());
         spilled.insert(PortId(200)); // refill reuses the spilled words
         assert_eq!(spilled.len(), 1);
+    }
+
+    #[test]
+    fn with_capacity_is_empty_and_fills_in_place() {
+        for n in [0usize, 1, 64, 70, 128, 129, 200, 256] {
+            let mut s = PortSet::with_capacity(n);
+            assert!(s.is_empty());
+            assert_eq!(s, PortSet::new());
+            s.fill(n);
+            assert_eq!(s.len(), n);
+            assert_eq!(s, (0..n).collect::<PortSet>());
+            assert_eq!(s, PortSet::all(n));
+            // Refilling a smaller universe clears the high ports.
+            s.fill(n / 2);
+            assert_eq!(s, (0..n / 2).collect::<PortSet>());
+        }
     }
 
     #[test]

@@ -35,8 +35,9 @@
 #      inadmissible end of the grid actually shed copies;
 #  10. the allocation audit: the CLI rebuilt with the counting global
 #      allocator (`--features alloc-audit`) must report a steady-state
-#      slot loop with zero heap allocations for FIFOMS and iSLIP alike
-#      (the command exits nonzero on any allocating phase);
+#      slot loop with zero heap allocations for FIFOMS and iSLIP alike,
+#      at N=8 and at N=64 (the command exits nonzero on any allocating
+#      phase);
 #  11. a perf-diff self-check: the freshly profiled v2 artifact diffed
 #      against itself must gate clean (zero slots/sec delta), proving
 #      the attribution path parses its own output;
@@ -96,6 +97,9 @@ echo "== alloc audit (counting allocator, FIFOMS + iSLIP must be clean) =="
 cargo run --release --quiet -p fifoms-cli --features alloc-audit -- \
   alloc-audit --n 8 --slots 4000 --json "$tmp/alloc-audit.json"
 grep -q '"clean": *true' "$tmp/alloc-audit.json"
+cargo run --release --quiet -p fifoms-cli --features alloc-audit -- \
+  alloc-audit --n 64 --slots 4000 --json "$tmp/alloc-audit-64.json"
+grep -q '"clean": *true' "$tmp/alloc-audit-64.json"
 
 echo "== bench regression gate (smoke vs committed baseline) =="
 BENCH_SMOKE=1 BENCH_CORE_OUT="$tmp/BENCH_core.json" \

@@ -5,9 +5,12 @@
 //! crates stay `forbid(unsafe_code)` and the workspace's other tests run
 //! on the plain system allocator. The audit harness itself is
 //! [`fifoms_sim::alloc_audit`]; this file supplies the counter it needs
-//! and asserts the PR's headline claim: after warmup, the engine's slot
-//! loop (`traffic → admit → run_slot → stats`) performs **zero** heap
-//! allocations for both FIFOMS and iSLIP.
+//! and asserts the headline claim: after warmup, the engine's slot loop
+//! (`traffic → admit → run_slot → stats`) performs **zero** heap
+//! allocations for both FIFOMS and iSLIP at N=8 and N=64, and for FIFOMS
+//! at N=256, where every port set spills past its inline words. At N=256
+//! the traffic phase is exempt: each generated `Packet` owns a heap-spilled
+//! destination set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,25 +51,45 @@ fn alloc_events() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// FIFOMS and iSLIP run sequentially in one test: a second thread would
-/// share the process-wide counter, so parallel test execution could
+/// Every audit runs sequentially in one test: a second thread would share
+/// the process-wide counter, so parallel test execution could
 /// cross-attribute allocations.
 #[test]
 fn steady_state_slot_loop_is_allocation_free() {
-    const N: usize = 8;
-    for (label, kind) in [("FIFOMS", SwitchKind::Fifoms), ("iSLIP", SwitchKind::Islip(None))] {
-        let mut sw = kind.build(N, 1);
-        let mut tr = TrafficKind::bernoulli_at_load(0.6, 0.25, N).build(N, 2);
-        let report =
-            alloc_audit(sw.as_mut(), tr.as_mut(), 3_000, 3_000, &alloc_events).unwrap();
+    let audit = |label: &str, kind: SwitchKind, n: usize, measure: u64| {
+        let mut sw = kind.build(n, 1);
+        let mut tr = TrafficKind::bernoulli_at_load(0.6, 0.25, n).build(n, 2);
+        let report = alloc_audit(sw.as_mut(), tr.as_mut(), 3_000, measure, &alloc_events).unwrap();
         assert!(
             report.packets_admitted > 0 && report.copies_delivered > 0,
-            "{label}: audit must exercise real load"
+            "{label} N={n}: audit must exercise real load"
         );
-        assert!(
-            report.is_clean(),
-            "{label}: steady-state slot loop allocated: {:?}",
-            report.phase_allocs
-        );
+        report
+    };
+    for n in [8, 64] {
+        let measure = if n == 8 { 3_000 } else { 300 };
+        for (label, kind) in [
+            ("FIFOMS", SwitchKind::Fifoms),
+            ("iSLIP", SwitchKind::Islip(None)),
+        ] {
+            let report = audit(label, kind, n, measure);
+            assert!(
+                report.is_clean(),
+                "{label} N={n}: steady-state slot loop allocated: {:?}",
+                report.phase_allocs
+            );
+        }
+    }
+    let report = audit("FIFOMS", SwitchKind::Fifoms, 256, 300);
+    for (phase, allocs) in report.phase_allocs {
+        if phase == "traffic" {
+            println!("FIFOMS N=256: traffic allocated {allocs} times in 300 slots");
+        } else {
+            assert_eq!(
+                allocs, 0,
+                "FIFOMS N=256: {phase} allocated: {:?}",
+                report.phase_allocs
+            );
+        }
     }
 }
