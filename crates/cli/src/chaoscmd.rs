@@ -7,24 +7,36 @@
 //! prints one table row per scenario with its recovery metrics, and —
 //! when a scenario fails — delta-debugs it with [`shrink_scenario`] down
 //! to a minimal `--scenario` spec printed as a ready-to-run reproducer.
-//! Every cell runs under a wall-clock watchdog ([`run_guarded`]) so a
-//! livelocked buffer-pressure cell times out and fails the campaign
-//! instead of hanging CI; `--cell-timeout` overrides the limit. The
-//! process exits nonzero if any scenario fails or times out, which is
-//! what the CI smoke stage keys on.
+//! Every cell runs under the shared cell guard ([`guarded`]): a
+//! livelocked buffer-pressure cell times out and a panicking one is
+//! reported as a panic, each failing the campaign instead of hanging or
+//! killing CI; `--cell-timeout` overrides the watchdog limit. The
+//! process exits nonzero if any scenario fails, panics or times out,
+//! which is what the CI smoke stage keys on.
+
+use std::time::Duration;
 
 use fifoms_sim::{
-    buffer_pressure_scenarios, campaign_scenarios, run_corruption_campaign, run_guarded,
-    run_scenario, run_scenario_observed, shrink_scenario_guarded, ChaosOutcome, ChaosScenario,
-    CheckpointFault, CorruptionOutcome,
+    buffer_pressure_scenarios, campaign_scenarios, guarded, run_corruption_campaign,
+    run_scenario_observed, shrink_scenario_guarded, CellFailureReason, ChaosOutcome, ChaosScenario,
+    CheckpointFault, CorruptionOutcome, TelemetrySpec,
 };
 use fifoms_types::SimError;
 
 use crate::args::Options;
 use crate::topcmd;
 
+/// Runs one chaos cell: the scenario, its telemetry wiring and scope.
+type CellRunner = fn(&ChaosScenario, Option<&TelemetrySpec>, &str) -> ChaosOutcome;
+
 /// Entry point for `fifoms-repro chaos`.
 pub fn chaos(opts: &Options) -> Result<(), SimError> {
+    campaign(opts, run_scenario_observed)
+}
+
+/// The campaign with its cell runner injectable, so tests can plant a
+/// panicking cell.
+fn campaign(opts: &Options, run: CellRunner) -> Result<(), SimError> {
     let scenarios = match &opts.scenario {
         Some(spec) => vec![ChaosScenario::parse(spec)?],
         None => {
@@ -65,21 +77,20 @@ pub fn chaos(opts: &Options) -> Result<(), SimError> {
     // observer being attached.
     let telemetry = topcmd::telemetry_spec(opts)?;
     let mut outcomes: Vec<ChaosOutcome> = Vec::with_capacity(scenarios.len());
-    let mut timeouts: Vec<ChaosScenario> = Vec::new();
+    let mut aborted: Vec<(ChaosScenario, CellFailureReason)> = Vec::new();
+    let limit = Some(Duration::from_millis(limit_millis));
     for (k, sc) in scenarios.iter().enumerate() {
         let cell = *sc;
         let cell_telemetry = telemetry.clone();
         let scope = format!("chaos#{k}");
-        match run_guarded(limit_millis, move || {
-            run_scenario_observed(&cell, cell_telemetry.as_ref(), &scope)
-        }) {
+        match guarded(limit, move || Ok(run(&cell, cell_telemetry.as_ref(), &scope))) {
             Ok(out) => {
                 print_row(k, &out);
                 outcomes.push(out);
             }
-            Err(ms) => {
-                print_timeout_row(k, sc, ms);
-                timeouts.push(*sc);
+            Err(reason) => {
+                println!("{}", aborted_row(k, sc, &reason));
+                aborted.push((*sc, reason));
             }
         }
     }
@@ -115,7 +126,7 @@ pub fn chaos(opts: &Options) -> Result<(), SimError> {
     }
 
     let failures: Vec<&ChaosOutcome> = outcomes.iter().filter(|o| o.failed()).collect();
-    if failures.is_empty() && timeouts.is_empty() && corruption_failures == 0 {
+    if failures.is_empty() && aborted.is_empty() && corruption_failures == 0 {
         println!();
         println!(
             "all {} scenario(s) ok: zero invariant violations, zero unreconciled fanout counters",
@@ -125,17 +136,29 @@ pub fn chaos(opts: &Options) -> Result<(), SimError> {
     }
 
     for out in &failures {
-        shrink_and_report(out, limit_millis);
+        let headline = format!(
+            "scenario FAILED [{}]: {}",
+            out.status(),
+            out.violation.as_deref().unwrap_or("(no invariant message)")
+        );
+        shrink_and_report(&out.scenario, &headline, limit_millis, run);
     }
-    for sc in &timeouts {
-        shrink_and_report_timeout(sc, limit_millis);
+    for (sc, reason) in &aborted {
+        shrink_and_report(sc, &format!("scenario ABORTED: {reason}"), limit_millis, run);
     }
+    let count = |timeout: bool| {
+        aborted
+            .iter()
+            .filter(|(_, r)| matches!(r, CellFailureReason::Timeout { .. }) == timeout)
+            .count()
+    };
     Err(SimError::Usage(format!(
-        "chaos {label} FAILED: {}/{} scenario(s) bad ({} timed out), \
+        "chaos {label} FAILED: {}/{} scenario(s) bad ({} timed out, {} panicked), \
          {corruption_failures} corruption cell(s) bad",
-        failures.len() + timeouts.len(),
+        failures.len() + aborted.len(),
         scenarios.len(),
-        timeouts.len()
+        count(true),
+        count(false)
     )))
 }
 
@@ -180,15 +203,25 @@ fn print_row(k: usize, out: &ChaosOutcome) {
     );
 }
 
-fn print_timeout_row(k: usize, sc: &ChaosScenario, limit_millis: u64) {
+/// The table row of a cell the guard aborted: `TIMEOUT` when the
+/// watchdog fired, `PANIC` when the cell panicked.
+fn aborted_row(k: usize, sc: &ChaosScenario, reason: &CellFailureReason) -> String {
+    let (status, detail) = match reason {
+        CellFailureReason::Timeout { millis } => (
+            "TIMEOUT",
+            format!("watchdog fired after {millis}ms — cell abandoned"),
+        ),
+        CellFailureReason::Panic(msg) => ("PANIC", format!("cell panicked: {msg}")),
+        CellFailureReason::Error(msg) => ("ERROR", format!("cell failed: {msg}")),
+    };
     let spec = sc.cli_spec();
-    println!(
-        "{:>3}  {:<12}  watchdog fired after {}ms — cell abandoned  {}",
+    format!(
+        "{:>3}  {:<12}  {}  {}",
         k,
-        "TIMEOUT",
-        limit_millis,
+        status,
+        detail,
         if spec.is_empty() { "(defaults)" } else { &spec },
-    );
+    )
 }
 
 fn print_corruption_row(cell: &CorruptionOutcome) {
@@ -243,31 +276,20 @@ fn print_recovery_summary(outcomes: &[ChaosOutcome]) {
     );
 }
 
-/// Shrink one failing scenario and print the minimal reproducer.
+/// Shrink one failing or aborted scenario and print the minimal
+/// reproducer.
 ///
-/// The oracle runs under the same `--cell-timeout` watchdog as the
+/// The oracle runs `run` unobserved (reproducers must not depend on an
+/// observer being attached) under the same `--cell-timeout` guard as the
 /// campaign cells, re-armed on every shrink step: a shrink candidate of
 /// a *failing* scenario can still wedge (stripping the fault that broke
-/// a livelock), and an unguarded probe would hang the whole report.
-fn shrink_and_report(out: &ChaosOutcome, limit_millis: u64) {
+/// a livelock), and an unguarded probe would hang the whole report. A
+/// probe that times out or panics again counts as a reproduction.
+fn shrink_and_report(sc: &ChaosScenario, headline: &str, limit_millis: u64, run: CellRunner) {
     println!();
-    println!(
-        "scenario FAILED [{}]: {}",
-        out.status(),
-        out.violation.as_deref().unwrap_or("(no invariant message)")
-    );
+    println!("{headline}");
     println!("  shrinking (guarded probes) ...");
-    let (min, runs) = shrink_scenario_guarded(&out.scenario, limit_millis, run_scenario);
-    print_reproducer(&min, runs);
-}
-
-/// Shrink a timed-out scenario — same guarded oracle; a probe that
-/// times out again counts as a reproduction of the hang.
-fn shrink_and_report_timeout(sc: &ChaosScenario, limit_millis: u64) {
-    println!();
-    println!("scenario TIMED OUT: watchdog fired after {limit_millis}ms");
-    println!("  shrinking (guarded probes) ...");
-    let (min, runs) = shrink_scenario_guarded(sc, limit_millis, run_scenario);
+    let (min, runs) = shrink_scenario_guarded(sc, limit_millis, move |c| run(c, None, "chaos"));
     print_reproducer(&min, runs);
 }
 
@@ -281,5 +303,34 @@ fn print_reproducer(min: &ChaosScenario, runs: usize) {
         println!("    fifoms-repro chaos --scenario \"\"   # default scenario already fails");
     } else {
         println!("    fifoms-repro chaos --scenario {spec}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicking_cell_is_reported_as_a_panic_and_fails_the_campaign() {
+        let opts = Options {
+            scenario: Some("slots=50".to_string()),
+            ..Options::default()
+        };
+        let err = campaign(&opts, |_, _, _| panic!("injected cell panic"))
+            .expect_err("a panicked cell must fail the campaign");
+        let msg = err.to_string();
+        assert!(msg.contains("1/1 scenario(s) bad"), "{msg}");
+        assert!(msg.contains("0 timed out, 1 panicked"), "{msg}");
+
+        let sc = ChaosScenario::parse("slots=50").unwrap();
+        let row = aborted_row(0, &sc, &CellFailureReason::Panic("boom".to_string()));
+        assert!(row.contains("PANIC"), "{row}");
+        assert!(row.contains("cell panicked: boom"), "{row}");
+        assert!(!row.contains("TIMEOUT"), "{row}");
+        let row = aborted_row(0, &sc, &CellFailureReason::Timeout { millis: 40 });
+        assert!(
+            row.contains("TIMEOUT") && row.contains("after 40ms"),
+            "{row}"
+        );
     }
 }

@@ -236,10 +236,9 @@ fn render_scope(out: &mut String, scope: &str, body: &Json) {
     }
     let _ = writeln!(
         out,
-        "   health   backlog {} copies   voq high-water {}   overload L{}   quarantined paths {}",
+        "   health   backlog {} copies   voq high-water {}   quarantined paths {}",
         num(body, "backlog_copies"),
         num(body, "voq_high_water"),
-        num(body, "overload_level"),
         num(body, "quarantined_paths"),
     );
     if let Some(tail) = body.get("slot_ns") {
@@ -390,7 +389,6 @@ mod tests {
         body.set("totals", totals);
         body.set("backlog_copies", 0u64);
         body.set("voq_high_water", 14u64);
-        body.set("overload_level", 0u64);
         body.set("quarantined_paths", 1u64);
         body.set("windows", Json::Arr(vec![w]));
         body.set("inputs", Json::Arr(vec![input]));
@@ -464,7 +462,7 @@ mod tests {
                 "\"completed_packets\":50,\"drop_tail_full\":0,\"drop_pushout\":0,",
                 "\"drop_fair_shed\":0,\"copy_kills\":0,\"copy_recoveries\":0,",
                 "\"voq_high_water\":3,\"backlog_copies\":0,\"quarantined_paths\":0,",
-                "\"overload_level\":0,\"sched_ns\":1000,\"wall_ns\":2000}\n",
+                "\"sched_ns\":1000,\"wall_ns\":2000}\n",
             ),
         )
         .unwrap();

@@ -40,21 +40,12 @@
 use std::collections::HashMap;
 
 use fifoms_types::{
-    get_dropped_copy, get_obs_event, put_dropped_copy, put_obs_event, AdmissionDrop, Checkpoint,
-    Departure, DroppedCopy, ObsEvent, Packet, PacketId, PortId, RetryDisposition, Slot,
+    get_dropped_copy, get_obs_event, put_dropped_copy, put_obs_event, splitmix64, AdmissionDrop,
+    Checkpoint, Departure, DroppedCopy, ObsEvent, Packet, PacketId, PortId, RetryDisposition, Slot,
     SlotOutcome, SpanSample, StateError, StateReader, StateWriter,
 };
 
 use crate::switch::{frame_stack, unframe_stack, Backlog, Switch};
-
-/// SplitMix64: cheap stateless hash used to derive per-entity phases from
-/// the seed without dragging in an RNG dependency.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Where in a copy's lifetime the fault timeline is applied.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]

@@ -80,9 +80,6 @@ pub struct ScopeAnalysis {
     /// `voq_high_water` soft-warning records seen (latched, so at most
     /// one per VOQ per run).
     pub high_water_events: u64,
-    /// Highest degradation-ladder level reported by `overload_level`
-    /// records (`None` when the governor never spoke).
-    pub overload_level_max: Option<u32>,
     /// Packets with a recorded arrival.
     pub packets_arrived: u64,
     /// Packets whose final copy was recorded.
@@ -323,15 +320,11 @@ impl ScopeAnalysis {
             obj.set("recovery", rec);
         }
         obj.set("invariant_violations", self.invariant_violations);
-        if self.admission_drop_events > 0
-            || self.high_water_events > 0
-            || self.overload_level_max.is_some()
-        {
+        if self.admission_drop_events > 0 || self.high_water_events > 0 {
             let mut ov = Json::object();
             ov.set("admission_drop_events", self.admission_drop_events);
             ov.set("admission_copies_dropped", self.admission_copies_dropped);
             ov.set("high_water_events", self.high_water_events);
-            ov.set("overload_level_max", self.overload_level_max);
             obj.set("overload", ov);
         }
         obj.set("order_anomalies", self.order_anomalies);
@@ -453,7 +446,6 @@ struct ScopeAcc {
     admission_drop_events: u64,
     admission_copies_dropped: u64,
     high_water_events: u64,
-    overload_level_max: Option<u32>,
     packets: BTreeMap<u64, PacketLife>,
 }
 
@@ -586,11 +578,6 @@ pub fn analyze_trace(text: &str) -> Result<TraceAnalysis, String> {
                 acc.admission_copies_dropped += unum_field(&doc, "copies", line)?;
             }
             "voq_high_water" => acc.high_water_events += 1,
-            "overload_level" => {
-                let level = unum_field(&doc, "level", line)? as u32;
-                acc.overload_level_max =
-                    Some(acc.overload_level_max.map_or(level, |m| m.max(level)));
-            }
             // Unknown kinds are skipped: newer emitters may add events
             // this analyser does not understand yet.
             _ => {}
@@ -634,7 +621,6 @@ fn finish_scope(label: String, acc: ScopeAcc) -> ScopeAnalysis {
     out.admission_drop_events = acc.admission_drop_events;
     out.admission_copies_dropped = acc.admission_copies_dropped;
     out.high_water_events = acc.high_water_events;
-    out.overload_level_max = acc.overload_level_max;
     out.rounds = RoundsProfile {
         histogram: acc.rounds_hist,
         mean: if acc.rounds_slots > 0 {
@@ -1131,8 +1117,6 @@ mod tests {
             r#"{"event":"copy_sent","scope":"S","slot":1,"id":4,"output":0,"split":false}"#,
             r#"{"event":"admission_dropped","scope":"S","slot":2,"input":1,"packet":6,"copies":1,"cause":"pushout"}"#,
             r#"{"event":"voq_high_water","scope":"S","slot":2,"input":1,"output":0,"depth":1024}"#,
-            r#"{"event":"overload_level","scope":"S","slot":3,"level":2,"backlog_copies":40}"#,
-            r#"{"event":"overload_level","scope":"S","slot":4,"level":1,"backlog_copies":20}"#,
             r#"{"event":"run_end","scope":"S","slots_run":5}"#,
         ];
         let a = analyze_trace(&(lines.join("\n") + "\n")).unwrap();
@@ -1141,7 +1125,6 @@ mod tests {
         assert_eq!(s.admission_drop_events, 2);
         assert_eq!(s.admission_copies_dropped, 4, "3 shed + 1 pushed out");
         assert_eq!(s.high_water_events, 1);
-        assert_eq!(s.overload_level_max, Some(2), "max, not last");
         let json = s.to_json().to_string();
         assert!(json.contains(r#""overload""#), "overload block missing: {json}");
     }
@@ -1161,7 +1144,6 @@ mod tests {
         let s = &a.scopes[0];
         assert_eq!(s.admission_drop_events, 2);
         assert_eq!(s.admission_copies_dropped, 7);
-        assert_eq!(s.overload_level_max, None);
         // No drops in the baseline sample trace -> no overload block.
         let clean = analyze_trace(&sample_trace()).unwrap();
         let json = clean.scopes[0].to_json().to_string();

@@ -331,14 +331,6 @@ pub fn event_to_json(scope: &str, event: &ObsEvent) -> Json {
             obj.set("output", u64::from(output.0));
             obj.set("depth", *depth);
         }
-        ObsEvent::OverloadLevel {
-            slot: _,
-            level,
-            backlog_copies,
-        } => {
-            obj.set("level", u64::from(*level));
-            obj.set("backlog_copies", *backlog_copies);
-        }
         ObsEvent::PhaseTimed {
             phase,
             calls,
@@ -390,7 +382,6 @@ pub fn event_to_json(scope: &str, event: &ObsEvent) -> Json {
             voq_high_water,
             backlog_copies,
             quarantined_paths,
-            overload_level,
             sched_ns,
             wall_ns,
         } => {
@@ -408,7 +399,6 @@ pub fn event_to_json(scope: &str, event: &ObsEvent) -> Json {
             obj.set("voq_high_water", *voq_high_water);
             obj.set("backlog_copies", *backlog_copies);
             obj.set("quarantined_paths", u64::from(*quarantined_paths));
-            obj.set("overload_level", u64::from(*overload_level));
             obj.set("sched_ns", *sched_ns);
             obj.set("wall_ns", *wall_ns);
         }
@@ -632,7 +622,6 @@ mod tests {
                 voq_high_water: 64,
                 backlog_copies: 123,
                 quarantined_paths: 2,
-                overload_level: 1,
                 sched_ns: 500_000,
                 wall_ns: 900_000,
             },
@@ -703,16 +692,6 @@ mod tests {
             },
         );
         assert_eq!(high.get("depth").and_then(Json::as_f64), Some(1024.0));
-        let level = event_to_json(
-            "s",
-            &ObsEvent::OverloadLevel {
-                slot: Slot(5),
-                level: 2,
-                backlog_copies: 99,
-            },
-        );
-        assert_eq!(level.get("level").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(level.get("backlog_copies").and_then(Json::as_f64), Some(99.0));
         let reparsed = Json::parse(&dropped.to_string()).unwrap();
         assert_eq!(reparsed, dropped);
     }

@@ -67,8 +67,6 @@ pub struct WindowStats {
     pub backlog_copies: u64,
     /// Quarantined `(input, output)` paths when the window closed.
     pub quarantined_paths: u32,
-    /// Highest overload-governor rung observed this window.
-    pub overload_level: u32,
     /// Wall ns inside the scheduler's `run_slot` this window.
     pub sched_ns: u64,
     /// Wall ns of the whole slot loop this window.
@@ -94,7 +92,6 @@ impl WindowStats {
             voq_high_water: self.voq_high_water,
             backlog_copies: self.backlog_copies,
             quarantined_paths: self.quarantined_paths,
-            overload_level: self.overload_level,
             sched_ns: self.sched_ns,
             wall_ns: self.wall_ns,
         }
@@ -117,7 +114,6 @@ impl WindowStats {
         obj.set("voq_high_water", self.voq_high_water);
         obj.set("backlog_copies", self.backlog_copies);
         obj.set("quarantined_paths", u64::from(self.quarantined_paths));
-        obj.set("overload_level", u64::from(self.overload_level));
         obj.set("sched_ns", self.sched_ns);
         obj.set("wall_ns", self.wall_ns);
         obj
@@ -152,8 +148,7 @@ pub struct Telemetry {
     ring: VecDeque<WindowStats>,
     /// Run-wide totals. `window`/`start_slot` are unused; `slots` is the
     /// run's slot count, `voq_high_water` the run-wide deepest crossing,
-    /// `backlog_copies`/`quarantined_paths`/`overload_level` the latest
-    /// observed values.
+    /// `backlog_copies`/`quarantined_paths` the latest observed values.
     totals: WindowStats,
     inputs: Vec<InputStats>,
     /// Per-slot wall-time distribution (telemetry-clocked slots).
@@ -236,9 +231,6 @@ impl Telemetry {
             ObsEvent::VoqHighWater { depth, .. } => {
                 self.cur.voq_high_water = self.cur.voq_high_water.max(*depth);
             }
-            ObsEvent::OverloadLevel { level, .. } => {
-                self.cur.overload_level = self.cur.overload_level.max(*level);
-            }
             _ => {}
         }
     }
@@ -303,7 +295,6 @@ impl Telemetry {
         self.totals.voq_high_water = self.totals.voq_high_water.max(closed.voq_high_water);
         self.totals.backlog_copies = closed.backlog_copies;
         self.totals.quarantined_paths = closed.quarantined_paths;
-        self.totals.overload_level = closed.overload_level;
 
         if self.ring.len() == self.ring_cap {
             self.ring.pop_front();
@@ -376,7 +367,6 @@ impl Telemetry {
 
         obj.set("backlog_copies", self.totals.backlog_copies);
         obj.set("voq_high_water", self.totals.voq_high_water);
-        obj.set("overload_level", u64::from(self.totals.overload_level));
         obj.set(
             "quarantined_paths",
             u64::from(self.totals.quarantined_paths),
@@ -431,7 +421,6 @@ fn put_window(w: &mut StateWriter, ws: &WindowStats) {
     w.put_u64(ws.voq_high_water);
     w.put_u64(ws.backlog_copies);
     w.put_u32(ws.quarantined_paths);
-    w.put_u32(ws.overload_level);
     w.put_u64(ws.sched_ns);
     w.put_u64(ws.wall_ns);
 }
@@ -452,7 +441,6 @@ fn get_window(r: &mut StateReader<'_>) -> Result<WindowStats, StateError> {
         voq_high_water: r.get_u64()?,
         backlog_copies: r.get_u64()?,
         quarantined_paths: r.get_u32()?,
-        overload_level: r.get_u32()?,
         sched_ns: r.get_u64()?,
         wall_ns: r.get_u64()?,
     })
@@ -461,6 +449,11 @@ fn get_window(r: &mut StateReader<'_>) -> Result<WindowStats, StateError> {
 impl Checkpoint for Telemetry {
     fn state_kind(&self) -> &'static str {
         "telemetry"
+    }
+
+    /// Version 2 removed the overload-governor level from each window.
+    fn state_version(&self) -> u16 {
+        2
     }
 
     fn write_state(&self, w: &mut StateWriter) {
@@ -749,12 +742,6 @@ pub fn render_prometheus(doc: &Json) -> String {
             path: &["voq_high_water"],
         },
         Family {
-            name: "fifoms_overload_level",
-            kind: "gauge",
-            help: "Latest overload-governor degradation level.",
-            path: &["overload_level"],
-        },
-        Family {
             name: "fifoms_quarantined_paths",
             kind: "gauge",
             help: "Paths quarantined by the fault scoreboard.",
@@ -977,11 +964,6 @@ mod tests {
             output: PortId(1),
             depth: 77,
         });
-        t.observe_event(&ObsEvent::OverloadLevel {
-            slot: Slot(4),
-            level: 2,
-            backlog_copies: 0,
-        });
         // Events outside the vocabulary are ignored.
         t.observe_event(&ObsEvent::RunEnd { slots_run: 1 });
         t.set_path_state(&[(PortId(1), PortId(0)), (PortId(1), PortId(2))]);
@@ -994,7 +976,6 @@ mod tests {
             copy_kills,
             copy_recoveries,
             voq_high_water,
-            overload_level,
             quarantined_paths,
             ..
         } = ev
@@ -1005,7 +986,6 @@ mod tests {
             assert_eq!(copy_kills, 1);
             assert_eq!(copy_recoveries, 1);
             assert_eq!(voq_high_water, 77);
-            assert_eq!(overload_level, 2);
             assert_eq!(quarantined_paths, 2);
         } else {
             panic!("expected window_summary");

@@ -20,14 +20,18 @@
 //! time, down to a minimal reproducer that prints as a ready-to-run
 //! `fifoms-repro chaos --scenario ...` invocation.
 
+use std::time::Duration;
+
 use fifoms_core::{AdmissionPolicy, BufferConfig, MulticastVoqSwitch};
 use fifoms_fabric::{CheckedSwitch, FaultConfig, FaultMode, FaultStats, FaultyFabric, Switch};
 use fifoms_stats::{RecoveryRecorder, RecoverySummary};
 use fifoms_types::{
-    AdmissionDrop, DroppedCopy, ObsEvent, Packet, PacketId, PortId, SimError, Slot, SpanTimer,
+    splitmix64, AdmissionDrop, DroppedCopy, ObsEvent, Packet, PacketId, PortId, SimError, Slot,
+    SpanTimer, SPLITMIX64_GAMMA,
 };
 
 use crate::engine::TelemetrySpec;
+use crate::guard::guarded;
 use crate::spec::TrafficKind;
 
 /// Slots between scoreboard-vs-ground-truth audits during a run.
@@ -364,19 +368,19 @@ fn drive<S: Switch>(
     let mut traffic = TrafficKind::bernoulli_at_load(sc.load, CHAOS_B, sc.n)
         .build(sc.n, sc.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-    // Telemetry rides along exactly like the engine's: one window
+    // Telemetry rides along through the engine's own channel: one window
     // accumulator, a pre-sized path buffer so window closes never
     // allocate, and the meta record announcing the stream's shape.
     let mut tele = telemetry.map(|(spec, _)| spec.new_telemetry(sc.n));
-    let tele_active = tele.is_some();
+    let mut channel = match (telemetry, tele.as_mut()) {
+        (Some((spec, scope)), Some(t)) => Some(spec.channel(t, scope)),
+        _ => None,
+    };
+    let tele_active = channel.is_some();
     let mut quarantine_buf: Vec<(PortId, PortId)> = Vec::new();
-    if tele_active {
+    if let Some(tc) = channel.as_ref() {
         quarantine_buf.reserve(sc.n * sc.n);
-    }
-    if let (Some((spec, scope)), Some(t)) = (telemetry, tele.as_ref()) {
-        if let Some(series) = spec.series.as_deref() {
-            series.emit(scope, &t.meta_event());
-        }
+        tc.begin();
     }
 
     let mut recorder = RecoveryRecorder::new();
@@ -451,8 +455,8 @@ fn drive<S: Switch>(
 
         checked.drain_events(&mut events);
         for e in events.drain(..) {
-            if let Some(tele) = tele.as_mut() {
-                tele.observe_event(&e);
+            if let Some(tc) = channel.as_mut() {
+                tc.telemetry.observe_event(&e);
             }
             match e {
                 ObsEvent::CopyKilled { requeued, .. } => recorder.record_kill(requeued),
@@ -494,33 +498,17 @@ fn drive<S: Switch>(
             }
         }
 
-        // Fold this slot into the live window; a full stride closes it
-        // and publishes the scope's snapshot, mirroring the engine.
-        if let Some(tele) = tele.as_mut() {
-            let delivered_now = outcome.departures.len() as u64;
-            let completed_now = outcome.departures.iter().filter(|d| d.last_copy).count() as u64;
+        if let Some(tc) = channel.as_mut() {
             let wall_ns = tele_timer.map_or(0, |tm| tm.elapsed_ns());
-            tele.record_slot(
+            tc.end_slot(
+                &checked,
+                now,
+                &outcome,
                 next_packet - admitted_before,
-                delivered_now,
-                completed_now,
                 sched_ns,
                 wall_ns,
+                &mut quarantine_buf,
             );
-            if tele.window_full() {
-                quarantine_buf.clear();
-                checked.quarantined_paths(now, &mut quarantine_buf);
-                tele.set_path_state(&quarantine_buf);
-                let summary = tele.close_window(checked.backlog().copies as u64);
-                if let Some((spec, scope)) = telemetry {
-                    if let Some(series) = spec.series.as_deref() {
-                        series.emit(scope, &summary);
-                    }
-                    if let Some(bus) = spec.bus.as_deref() {
-                        bus.publish(scope, tele, false);
-                    }
-                }
-            }
         }
 
         if checked.violation().is_some() {
@@ -529,23 +517,8 @@ fn drive<S: Switch>(
         t += 1;
     }
 
-    // Telemetry teardown: close the partial final window, flush the
-    // series stream, and publish the completion-marked snapshot.
-    if let (Some((spec, scope)), Some(tele)) = (telemetry, tele.as_mut()) {
-        quarantine_buf.clear();
-        checked.quarantined_paths(Slot(slots_run.saturating_sub(1)), &mut quarantine_buf);
-        tele.set_path_state(&quarantine_buf);
-        if let Some(summary) = tele.finish(checked.backlog().copies as u64) {
-            if let Some(series) = spec.series.as_deref() {
-                series.emit(scope, &summary);
-            }
-        }
-        if let Some(series) = spec.series.as_deref() {
-            series.flush();
-        }
-        if let Some(bus) = spec.bus.as_deref() {
-            bus.publish(scope, tele, true);
-        }
+    if let Some(tc) = channel.as_mut() {
+        tc.end_run(&checked, slots_run, &mut quarantine_buf);
     }
 
     let backlog = checked.backlog();
@@ -572,14 +545,6 @@ fn drive<S: Switch>(
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The deterministic scenario list of a campaign: `count` scenarios
 /// derived from `seed`, cycling through crosspoint-only, flap-only and
 /// combined fault flavours with varied budgets, windows and loads.
@@ -588,7 +553,8 @@ pub fn campaign_scenarios(seed: u64, count: usize, smoke: bool) -> Vec<ChaosScen
     let mut state = seed ^ 0xCAFE_F00D;
     (0..count)
         .map(|k| {
-            let r = splitmix64(&mut state);
+            let r = splitmix64(state);
+            state = state.wrapping_add(SPLITMIX64_GAMMA);
             let mut sc = ChaosScenario {
                 seed: seed.wrapping_add(k as u64).wrapping_mul(2).wrapping_add(1),
                 slots: if smoke { 1_200 } else { 4_000 },
@@ -636,7 +602,8 @@ pub fn buffer_pressure_scenarios(seed: u64, count: usize, smoke: bool) -> Vec<Ch
     ];
     (0..count)
         .map(|k| {
-            let r = splitmix64(&mut state);
+            let r = splitmix64(state);
+            state = state.wrapping_add(SPLITMIX64_GAMMA);
             let mut sc = ChaosScenario {
                 seed: seed.wrapping_add(k as u64).wrapping_mul(2).wrapping_add(1),
                 slots: if smoke { 800 } else { 3_000 },
@@ -660,34 +627,6 @@ pub fn buffer_pressure_scenarios(seed: u64, count: usize, smoke: bool) -> Vec<Ch
             sc
         })
         .collect()
-}
-
-/// Run one chaos cell under a wall-clock watchdog.
-///
-/// Buffer-pressure scenarios combine livelock-prone ingredients (full
-/// buffers, retries, faults); a cell that wedges must fail the campaign
-/// in bounded time rather than hang CI. The cell runs on its own named
-/// thread; if it does not report within `limit_millis`, `Err(limit)` is
-/// returned and the stuck thread is abandoned (the process exits with
-/// the campaign verdict anyway). Mirrors the sweep runner's cell guard.
-pub fn run_guarded<T: Send + 'static>(
-    limit_millis: u64,
-    run: impl FnOnce() -> T + Send + 'static,
-) -> Result<T, u64> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name("fifoms-chaos-cell".into())
-        .spawn(move || {
-            // The receiver may be gone already (timeout): ignore the error.
-            let _ = tx.send(run());
-        });
-    if spawned.is_err() {
-        return Err(0);
-    }
-    match rx.recv_timeout(std::time::Duration::from_millis(limit_millis)) {
-        Ok(out) => Ok(out),
-        Err(_) => Err(limit_millis),
-    }
 }
 
 /// Shrink a failing scenario to a minimal reproducer.
@@ -735,9 +674,9 @@ pub fn shrink_scenario(
 /// Shrink candidates of a wedged scenario are themselves livelock-prone
 /// — often more so, since the shrink strips the faults that eventually
 /// broke the livelock. Each probe therefore runs under its own
-/// [`run_guarded`] window of `limit_millis`; a probe that fails to
+/// [`guarded`] window of `limit_millis`; a probe that panics or fails to
 /// report in time counts as "still fails" (the reproducer of a hang is
-/// a hang) and its thread is abandoned. The unguarded
+/// a hang) and a timed-out probe's thread is abandoned. The unguarded
 /// [`shrink_scenario`] with a raw `run_scenario` oracle must only be
 /// used where the probes are known to terminate.
 pub fn shrink_scenario_guarded<F>(
@@ -751,9 +690,10 @@ where
     shrink_scenario(start, move |candidate| {
         let cell = *candidate;
         let probe = probe.clone();
-        run_guarded(limit_millis, move || probe(&cell))
-            .map(|out| out.failed())
-            .unwrap_or(true)
+        guarded(Some(Duration::from_millis(limit_millis)), move || {
+            Ok(probe(&cell))
+        })
+        .map_or(true, |out| out.failed())
     })
 }
 
@@ -1177,25 +1117,6 @@ mod tests {
             "even bounded loads stop at min(2, b*n)"
         );
         assert!(ChaosScenario::parse("admission=sometimes").is_err());
-    }
-
-    #[test]
-    fn watchdog_flags_a_hung_cell_and_passes_a_healthy_one() {
-        let hung = run_guarded(40, || {
-            std::thread::sleep(std::time::Duration::from_millis(3_000));
-            run_scenario(&ChaosScenario {
-                slots: 10,
-                ..ChaosScenario::default()
-            })
-        });
-        assert_eq!(hung.err(), Some(40), "a wedged cell must time out, not hang");
-        let healthy = run_guarded(60_000, || {
-            run_scenario(&ChaosScenario {
-                slots: 200,
-                ..ChaosScenario::default()
-            })
-        });
-        assert!(!healthy.expect("healthy cell finished").failed());
     }
 
     #[test]

@@ -43,7 +43,8 @@ use fifoms_stats::{DelaySummary, OccupancySummary, SaturationVerdict};
 use fifoms_types::SimError;
 
 use crate::engine::RunResult;
-use crate::sweep::{CellFailureReason, CellOutcome, CellPolicy, FailedCell, Sweep, SweepRow};
+use crate::guard::CellFailureReason;
+use crate::sweep::{CellOutcome, CellPolicy, FailedCell, Sweep, SweepRow};
 
 const MAGIC: &str = "# fifoms sweep journal v1";
 

@@ -9,10 +9,10 @@ use fifoms_stats::{
 };
 use fifoms_traffic::TrafficModel;
 use fifoms_types::{
-    ObsEvent, Packet, PacketId, PortId, PortSet, SimError, Slot, SpanSample, SpanTimer,
+    ObsEvent, Packet, PacketId, PortId, SimError, Slot, SlotOutcome, SpanSample, SpanTimer,
+    TypeError,
 };
 
-use crate::overload::OverloadControls;
 use crate::recover::{RecoveryRuntime, RunSnapshot};
 
 /// Parameters of one simulation run.
@@ -103,9 +103,10 @@ impl RunResult {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.warmup >= cfg.slots` or the traffic model's port count
-/// differs from the switch's. Use [`try_simulate`] on user-facing paths
-/// where these should surface as diagnostics instead.
+/// Panics if `cfg.warmup >= cfg.slots`, `cfg.sample_every == 0` or the
+/// traffic model's port count differs from the switch's. Use
+/// [`try_simulate`] on user-facing paths where these should surface as
+/// diagnostics instead.
 pub fn simulate(
     switch: &mut dyn Switch,
     traffic: &mut dyn TrafficModel,
@@ -232,22 +233,7 @@ pub fn try_simulate_observed(
     cfg: &RunConfig,
     obs: &mut Observer<'_>,
 ) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, None, None)
-}
-
-/// [`try_simulate_observed`] with overload protection attached: the
-/// engine consults `controls` each slot for backpressure-driven arrival
-/// deferral and the graceful-degradation ladder (DESIGN.md §12). Inert
-/// controls ([`OverloadControls::new`]) leave the run bit-identical to
-/// [`try_simulate_observed`].
-pub fn try_simulate_controlled(
-    switch: &mut dyn Switch,
-    traffic: &mut dyn TrafficModel,
-    cfg: &RunConfig,
-    obs: &mut Observer<'_>,
-    controls: &mut OverloadControls,
-) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, Some(controls), None)
+    simulate_inner(switch, traffic, cfg, obs, None)
 }
 
 /// [`try_simulate_observed`] with crash-safe checkpointing attached
@@ -265,7 +251,7 @@ pub fn try_simulate_recoverable(
     obs: &mut Observer<'_>,
     recovery: &mut RecoveryRuntime,
 ) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, None, Some(recovery))
+    simulate_inner(switch, traffic, cfg, obs, Some(recovery))
 }
 
 fn simulate_inner(
@@ -273,7 +259,6 @@ fn simulate_inner(
     traffic: &mut dyn TrafficModel,
     cfg: &RunConfig,
     obs: &mut Observer<'_>,
-    mut controls: Option<&mut OverloadControls>,
     mut recovery: Option<&mut RecoveryRuntime>,
 ) -> Result<RunResult, SimError> {
     if cfg.warmup >= cfg.slots {
@@ -281,6 +266,12 @@ fn simulate_inner(
             warmup: cfg.warmup,
             slots: cfg.slots,
         });
+    }
+    if cfg.sample_every == 0 {
+        return Err(SimError::Config(TypeError::NonPositive {
+            name: "sample_every",
+            got: 0.0,
+        }));
     }
     if switch.ports() != traffic.ports() {
         return Err(SimError::SizeMismatch {
@@ -350,10 +341,8 @@ fn simulate_inner(
                 },
             );
         }
-        if let Some(tc) = obs.telemetry.as_mut() {
-            if let Some((sink, scope)) = tc.series {
-                sink.emit(scope, &tc.telemetry.meta_event());
-            }
+        if let Some(tc) = obs.telemetry.as_ref() {
+            tc.begin();
         }
     }
 
@@ -441,56 +430,6 @@ fn simulate_inner(
             // regenerating the logged pre-crash arrivals.
             rec.record_arrivals(t, &arrivals)?;
         }
-        // Overload protection, when attached: walk the degradation
-        // ladder against this slot's pre-admission backlog, pause
-        // backpressured inputs (deferring their arrivals), re-offer
-        // deferred arrivals oldest-first where the signal is clear, and
-        // at ladder level 3 trim fresh fanouts to their first
-        // destination. `controls == None` skips all of it.
-        let level = match controls.as_deref_mut() {
-            Some(ctl) => {
-                if let Some(g) = ctl.governor.as_mut() {
-                    if let Some(event) = g.observe(now, switch.backlog().copies as u64) {
-                        if let Some((sink, scope)) = obs.sink {
-                            sink.emit(scope, &event);
-                        }
-                    }
-                }
-                let level = ctl.level();
-                for (input, slot_arrival) in arrivals.iter_mut().enumerate() {
-                    let input_id = PortId::new(input);
-                    let fresh = slot_arrival.take();
-                    if ctl.pause_on_backpressure && switch.backpressure(input_id) {
-                        if let Some(dests) = fresh {
-                            ctl.deferrals.push(input_id, dests);
-                        }
-                        continue;
-                    }
-                    *slot_arrival = match ctl.deferrals.pop_ready(input_id) {
-                        Some(held) => {
-                            // One admission per input per slot: a fresh
-                            // arrival queues behind the resumed one.
-                            if let Some(dests) = fresh {
-                                ctl.deferrals.push(input_id, dests);
-                            }
-                            Some(held)
-                        }
-                        None => fresh,
-                    };
-                    if level >= 3 {
-                        if let Some(dests) = slot_arrival.as_mut() {
-                            if dests.len() > 1 {
-                                let first = dests.iter().next().expect("non-empty fanout");
-                                ctl.fanout_copies_trimmed += (dests.len() - 1) as u64;
-                                *dests = PortSet::singleton(first);
-                            }
-                        }
-                    }
-                }
-                level
-            }
-            None => 0,
-        };
         let admitted_before = next_packet;
         span(obs, timed, "admit", true);
         for (input, dests) in arrivals.iter_mut().enumerate() {
@@ -530,36 +469,7 @@ fn simulate_inner(
         slots_run = t + 1;
 
         if obs.sink.is_some() || tele_active {
-            switch.drain_events(&mut event_buf);
-            for e in event_buf.drain(..) {
-                // Telemetry sees every event before the ladder sheds any:
-                // the windowed counters must sum to the run's aggregates
-                // regardless of degradation level.
-                if let Some(tc) = obs.telemetry.as_mut() {
-                    tc.telemetry.observe_event(&e);
-                }
-                let Some((sink, scope)) = obs.sink else {
-                    continue;
-                };
-                // Ladder level 1: shed packet-scoped tracing first.
-                // Admission drops, invariant reports and scheduler
-                // summaries always get through — forensics on the
-                // overloaded run depend on them.
-                if level >= 1
-                    && matches!(
-                        e,
-                        ObsEvent::PacketArrived { .. }
-                            | ObsEvent::CopySent { .. }
-                            | ObsEvent::PacketCompleted { .. }
-                    )
-                {
-                    if let Some(ctl) = controls.as_deref_mut() {
-                        ctl.events_shed += 1;
-                    }
-                    continue;
-                }
-                sink.emit(scope, &e);
-            }
+            forward_events(switch, obs, &mut event_buf);
         }
 
         span(obs, timed, "stats", true);
@@ -571,47 +481,25 @@ fn simulate_inner(
             if !outcome.departures.is_empty() {
                 rounds.push_u64(outcome.rounds as u64);
             }
-            // Ladder level 2: thin the per-slot queue scan to every
-            // fourth slot. Delay and throughput tallies stay exact.
-            if level < 2 || t % 4 == 0 {
-                switch.queue_sizes(&mut queue_buf);
-                occupancy.sample(&queue_buf);
-            } else if let Some(ctl) = controls.as_deref_mut() {
-                ctl.samples_skipped += 1;
-            }
+            switch.queue_sizes(&mut queue_buf);
+            occupancy.sample(&queue_buf);
         }
         let capped = t % cfg.sample_every == 0 && detector.observe(switch.backlog().copies);
         span(obs, timed, "stats", false);
         if let (Some(timer), Some((p, _))) = (slot_timer, obs.profiler.as_mut()) {
             p.record_slot_ns(timer.elapsed_ns());
         }
-        // Live telemetry: fold this slot into the current window and
-        // close the window on a full stride. All counter updates are
-        // integer field writes; the only heap work is the opted-in
-        // snapshot publication on a window close.
         if let Some(tc) = obs.telemetry.as_mut() {
-            let delivered_now = outcome.departures.len() as u64;
-            let completed_now = outcome.departures.iter().filter(|d| d.last_copy).count() as u64;
             let wall_ns = tele_timer.map_or(0, |tm| tm.elapsed_ns());
-            tc.telemetry.record_slot(
+            tc.end_slot(
+                switch,
+                now,
+                &outcome,
                 next_packet - admitted_before,
-                delivered_now,
-                completed_now,
                 sched_ns,
                 wall_ns,
+                &mut quarantine_buf,
             );
-            if tc.telemetry.window_full() {
-                quarantine_buf.clear();
-                switch.quarantined_paths(now, &mut quarantine_buf);
-                tc.telemetry.set_path_state(&quarantine_buf);
-                let summary = tc.telemetry.close_window(switch.backlog().copies as u64);
-                if let Some((sink, scope)) = tc.series {
-                    sink.emit(scope, &summary);
-                }
-                if let Some((bus, scope)) = tc.bus {
-                    bus.publish(scope, tc.telemetry, false);
-                }
-            }
         }
         // Hand the outcome's heap buffers back for the next slot. Runs on
         // every path (observed or not): recycling is memory reuse only,
@@ -629,15 +517,7 @@ fn simulate_inner(
         // violation recorded on the aborting slot). This block only runs
         // with observation attached, so unobserved runs stay bit-identical.
         switch.end_of_run();
-        switch.drain_events(&mut event_buf);
-        for e in event_buf.drain(..) {
-            if let Some(tc) = obs.telemetry.as_mut() {
-                tc.telemetry.observe_event(&e);
-            }
-            if let Some((sink, scope)) = obs.sink {
-                sink.emit(scope, &e);
-            }
-        }
+        forward_events(switch, obs, &mut event_buf);
     }
     if let Some((sink, scope)) = obs.sink {
         // With a profiler also attached, surface its totals in the trace:
@@ -677,23 +557,7 @@ fn simulate_inner(
         sink.flush();
     }
     if let Some(tc) = obs.telemetry.as_mut() {
-        // Close the partial final window (if any), flush the series
-        // stream, and publish the completion-marked snapshot so `top`
-        // can tell a finished scope from a stalled one.
-        quarantine_buf.clear();
-        switch.quarantined_paths(Slot(slots_run.saturating_sub(1)), &mut quarantine_buf);
-        tc.telemetry.set_path_state(&quarantine_buf);
-        if let Some(summary) = tc.telemetry.finish(switch.backlog().copies as u64) {
-            if let Some((sink, scope)) = tc.series {
-                sink.emit(scope, &summary);
-            }
-        }
-        if let Some((sink, _)) = tc.series {
-            sink.flush();
-        }
-        if let Some((bus, scope)) = tc.bus {
-            bus.publish(scope, tc.telemetry, true);
-        }
+        tc.end_run(switch, slots_run, &mut quarantine_buf);
     }
 
     let measured_slots = slots_run.saturating_sub(cfg.warmup).max(1);
@@ -715,6 +579,92 @@ fn simulate_inner(
         copies_delivered,
         throughput: copies_delivered as f64 / (measured_slots * n as u64) as f64,
     })
+}
+
+/// Drain the switch stack's buffered events into the telemetry window
+/// and the trace sink, in that order.
+fn forward_events(switch: &mut dyn Switch, obs: &mut Observer<'_>, buf: &mut Vec<ObsEvent>) {
+    switch.drain_events(buf);
+    for e in buf.drain(..) {
+        if let Some(tc) = obs.telemetry.as_mut() {
+            tc.telemetry.observe_event(&e);
+        }
+        if let Some((sink, scope)) = obs.sink {
+            sink.emit(scope, &e);
+        }
+    }
+}
+
+impl TelemetryChannel<'_> {
+    /// Open the time-series stream with its `window_meta` record.
+    pub(crate) fn begin(&self) {
+        if let Some((sink, scope)) = self.series {
+            sink.emit(scope, &self.telemetry.meta_event());
+        }
+    }
+
+    /// Fold one executed slot into the current window. On a full stride
+    /// the window closes: the quarantine view is refreshed from
+    /// `switch`, the summary goes to the series sink and the snapshot is
+    /// published. All counter updates are integer field writes, and
+    /// `paths` is reserved to N×N up front, so the only heap work is the
+    /// opted-in snapshot publication.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn end_slot(
+        &mut self,
+        switch: &dyn Switch,
+        now: Slot,
+        outcome: &SlotOutcome,
+        admitted_packets: u64,
+        sched_ns: u64,
+        wall_ns: u64,
+        paths: &mut Vec<(PortId, PortId)>,
+    ) {
+        self.telemetry.record_slot(
+            admitted_packets,
+            outcome.departures.len() as u64,
+            outcome.completed_packets() as u64,
+            sched_ns,
+            wall_ns,
+        );
+        if self.telemetry.window_full() {
+            paths.clear();
+            switch.quarantined_paths(now, paths);
+            self.telemetry.set_path_state(paths);
+            let summary = self.telemetry.close_window(switch.backlog().copies as u64);
+            if let Some((sink, scope)) = self.series {
+                sink.emit(scope, &summary);
+            }
+            if let Some((bus, scope)) = self.bus {
+                bus.publish(scope, self.telemetry, false);
+            }
+        }
+    }
+
+    /// Close the partial final window (if any), flush the series stream,
+    /// and publish the completion-marked snapshot so `top` can tell a
+    /// finished scope from a stalled one.
+    pub(crate) fn end_run(
+        &mut self,
+        switch: &dyn Switch,
+        slots_run: u64,
+        paths: &mut Vec<(PortId, PortId)>,
+    ) {
+        paths.clear();
+        switch.quarantined_paths(Slot(slots_run.saturating_sub(1)), paths);
+        self.telemetry.set_path_state(paths);
+        if let Some(summary) = self.telemetry.finish(switch.backlog().copies as u64) {
+            if let Some((sink, scope)) = self.series {
+                sink.emit(scope, &summary);
+            }
+        }
+        if let Some((sink, _)) = self.series {
+            sink.flush();
+        }
+        if let Some((bus, scope)) = self.bus {
+            bus.publish(scope, self.telemetry, true);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -813,6 +763,18 @@ mod tests {
                 slots: 10
             }
         );
+        let cfg = RunConfig {
+            sample_every: 0,
+            ..RunConfig::quick(100)
+        };
+        let e = try_simulate(&mut sw, &mut tr, &cfg).unwrap_err();
+        assert_eq!(
+            e,
+            SimError::Config(TypeError::NonPositive {
+                name: "sample_every",
+                got: 0.0
+            })
+        );
         let mut tr8 = UniformUnicast::new(8, 0.1, 0).unwrap();
         let e = try_simulate(&mut sw, &mut tr8, &RunConfig::quick(100)).unwrap_err();
         assert_eq!(
@@ -844,89 +806,6 @@ mod tests {
         let mut sw = MulticastVoqSwitch::new(4, 0);
         let mut tr = UniformUnicast::new(8, 0.1, 0).unwrap();
         simulate(&mut sw, &mut tr, &RunConfig::quick(100));
-    }
-
-    #[test]
-    fn inert_controls_are_bit_identical_to_plain_simulation() {
-        use crate::overload::OverloadControls;
-        let cfg = RunConfig::quick(10_000);
-        let mut sw = MulticastVoqSwitch::new(8, 3);
-        let mut tr = BernoulliMulticast::new(8, 0.3, 0.25, 9).unwrap();
-        let plain = try_simulate(&mut sw, &mut tr, &cfg).unwrap();
-        let mut sw = MulticastVoqSwitch::new(8, 3);
-        let mut tr = BernoulliMulticast::new(8, 0.3, 0.25, 9).unwrap();
-        let mut controls = OverloadControls::new(8);
-        let controlled = try_simulate_controlled(
-            &mut sw,
-            &mut tr,
-            &cfg,
-            &mut Observer::none(),
-            &mut controls,
-        )
-        .unwrap();
-        assert_eq!(plain.packets_admitted, controlled.packets_admitted);
-        assert_eq!(plain.copies_delivered, controlled.copies_delivered);
-        assert_eq!(plain.delay.mean_output_oriented, controlled.delay.mean_output_oriented);
-        assert_eq!(plain.occupancy.mean, controlled.occupancy.mean);
-        assert_eq!(controls.deferrals.total_deferred(), 0);
-        assert_eq!(controls.events_shed, 0);
-        assert_eq!(controls.fanout_copies_trimmed, 0);
-    }
-
-    #[test]
-    fn backpressure_pause_defers_instead_of_dropping() {
-        use crate::overload::OverloadControls;
-        use fifoms_core::BufferConfig;
-        // Tiny aggregate budget under heavy load: without pausing, the
-        // switch sheds at admission; with pausing, offered packets wait
-        // in the deferral queue instead.
-        let buffers = BufferConfig::bounded(16, 32);
-        let mut sw = MulticastVoqSwitch::new(8, 3).with_buffers(buffers);
-        let mut tr = BernoulliMulticast::new(8, 0.9, 0.25, 11).unwrap();
-        let mut controls = OverloadControls::new(8).with_backpressure();
-        let r = try_simulate_controlled(
-            &mut sw,
-            &mut tr,
-            &RunConfig::quick(4_000),
-            &mut Observer::none(),
-            &mut controls,
-        )
-        .unwrap();
-        assert!(r.packets_admitted > 0);
-        assert!(
-            controls.deferrals.total_deferred() > 0,
-            "inadmissible load against a tiny buffer must trigger pauses"
-        );
-        assert!(
-            controls.deferrals.total_resumed() > 0,
-            "cleared signal must re-offer deferred arrivals"
-        );
-    }
-
-    #[test]
-    fn degradation_ladder_engages_under_inadmissible_load() {
-        use crate::overload::{OverloadControls, OverloadGovernor};
-        use fifoms_core::BufferConfig;
-        let buffers = BufferConfig::bounded(64, 256);
-        let capacity = buffers.max_copies(8).unwrap();
-        let mut sw = MulticastVoqSwitch::new(8, 3).with_buffers(buffers);
-        // Offered load 2.0: the backlog climbs straight through every
-        // ladder threshold.
-        let mut tr = BernoulliMulticast::new(8, 1.0, 0.25, 13).unwrap();
-        let mut controls =
-            OverloadControls::new(8).with_governor(OverloadGovernor::new(capacity));
-        let r = try_simulate_controlled(
-            &mut sw,
-            &mut tr,
-            &RunConfig::quick(6_000),
-            &mut Observer::none(),
-            &mut controls,
-        )
-        .unwrap();
-        assert_eq!(controls.level(), 3, "ladder must reach fanout shedding");
-        assert!(controls.fanout_copies_trimmed > 0, "level 3 trims fanout");
-        assert!(controls.samples_skipped > 0, "level 2 thins metric sampling");
-        assert!(r.slots_run == 6_000, "finite buffers never hit the cap");
     }
 
     #[test]

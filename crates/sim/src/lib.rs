@@ -14,7 +14,10 @@
 //! The pieces:
 //!
 //! * [`simulate`] drives one `(switch, traffic)` pair under a
-//!   [`RunConfig`] and yields a [`RunResult`];
+//!   [`RunConfig`] and yields a [`RunResult`]. It and [`try_simulate`],
+//!   [`try_simulate_observed`] and [`try_simulate_recoverable`] are thin
+//!   wrappers over one engine core whose two optional attachments, an
+//!   [`Observer`] and a [`RecoveryRuntime`], combine freely;
 //! * [`SwitchKind`] / [`TrafficKind`] are buildable specifications of
 //!   every scheduler and workload in the workspace (the experiment
 //!   harness and benches construct sweeps from these);
@@ -23,7 +26,9 @@
 //!   fault-isolated mode ([`Sweep::run_robust`]) where panicking, hung or
 //!   invalid cells become structured [`CellOutcome::Failed`] rows, and a
 //!   checkpointed mode ([`Sweep::run_checkpointed`]) that journals every
-//!   finished cell so a killed sweep resumes where it stopped;
+//!   finished cell so a killed sweep resumes where it stopped. Sweep
+//!   cells, chaos cells and `serve` workers all run under one cell guard,
+//!   [`guarded`];
 //! * [`CheckpointJournal`] is that journal — human-readable, append-only,
 //!   crash-tolerant, keyed to the exact sweep it belongs to;
 //! * [`report`] renders aligned ASCII tables and CSV files;
@@ -42,6 +47,7 @@ mod audit;
 mod chaos;
 mod checkpoint;
 mod engine;
+mod guard;
 mod overload;
 pub mod plot;
 mod profile;
@@ -53,19 +59,17 @@ mod sweep;
 
 pub use audit::{alloc_audit, AllocAuditReport};
 pub use chaos::{
-    buffer_pressure_scenarios, campaign_scenarios, run_corruption_campaign, run_guarded,
-    run_scenario, run_scenario_observed, run_scenario_on, shrink_scenario,
-    shrink_scenario_guarded, ChaosOutcome, ChaosScenario, CheckpointFault, CorruptionOutcome,
+    buffer_pressure_scenarios, campaign_scenarios, run_corruption_campaign, run_scenario,
+    run_scenario_observed, run_scenario_on, shrink_scenario, shrink_scenario_guarded, ChaosOutcome,
+    ChaosScenario, CheckpointFault, CorruptionOutcome,
 };
 pub use checkpoint::CheckpointJournal;
 pub use engine::{
-    simulate, try_simulate, try_simulate_controlled, try_simulate_observed,
-    try_simulate_recoverable, Observer, RunConfig, RunResult, TelemetryChannel, TelemetrySpec,
+    simulate, try_simulate, try_simulate_observed, try_simulate_recoverable, Observer, RunConfig,
+    RunResult, TelemetryChannel, TelemetrySpec,
 };
-pub use overload::{
-    loss_sweep, loss_sweep_observed, LossPoint, LossSweepConfig, OverloadControls,
-    OverloadGovernor,
-};
+pub use guard::{guarded, CellFailureReason};
+pub use overload::{loss_sweep, loss_sweep_observed, LossPoint, LossSweepConfig};
 // Re-exported so sweep policies can be configured without a direct
 // dependency on the fabric crate.
 pub use fifoms_fabric::{
@@ -78,6 +82,4 @@ pub use recover::{
 };
 pub use serve::{serve, ServeConfig, ServeReport, SERVE_SCOPE};
 pub use spec::{SwitchKind, TrafficKind};
-pub use sweep::{
-    CellFailureReason, CellOutcome, CellPolicy, FailedCell, Sweep, SweepObserver, SweepRow,
-};
+pub use sweep::{CellOutcome, CellPolicy, FailedCell, Sweep, SweepObserver, SweepRow};

@@ -1,152 +1,20 @@
-//! Overload protection: the graceful-degradation ladder and the
-//! finite-buffer loss-rate sweep (DESIGN.md §12).
+//! The finite-buffer loss-rate sweep (DESIGN.md §12).
 //!
 //! Under admissible load a FIFOMS switch needs none of this. Under
 //! *inadmissible* load (offered > 1.0 per output) an infinite-buffer
-//! model diverges, and a finite-buffer one must choose what to lose.
-//! This module supplies the engine-side half of that choice:
-//!
-//! * [`OverloadGovernor`] — watches the backlog against the configured
-//!   buffer capacity and walks a degradation ladder: level 1 sheds
-//!   packet-scoped trace events, level 2 thins metric sampling, level 3
-//!   trims arriving fanouts to their first destination. Each transition
-//!   emits one [`ObsEvent::OverloadLevel`] so traces show when and why
-//!   observability degraded.
-//! * [`OverloadControls`] — the bundle the engine consults each slot:
-//!   an optional governor, plus backpressure-driven arrival deferral
-//!   (a [`DeferralQueue`] that holds offered packets while
-//!   [`Switch::backpressure`] is asserted, re-offering them oldest-first
-//!   once it clears; deferred packets are stamped at actual admission,
-//!   so Theorem 1 ordering is never violated).
-//! * [`loss_sweep`] — the stability-region experiment: a load grid
-//!   crossing the admissible boundary, run against the infinite-buffer
-//!   baseline and each finite-buffer admission policy under a
-//!   [`CheckedSwitch`] proving the extended conservation law, yielding
-//!   one [`LossPoint`] per (load, policy) cell.
-//!
-//! [`Switch::backpressure`]: fifoms_fabric::Switch::backpressure
+//! model diverges, and a finite-buffer one must choose what to lose —
+//! the switch's admission policy makes that choice at admission.
+//! [`loss_sweep`] is the stability-region experiment: a load grid
+//! crossing the admissible boundary, run against the infinite-buffer
+//! baseline and each finite-buffer admission policy under a
+//! [`CheckedSwitch`] proving the extended conservation law, yielding one
+//! [`LossPoint`] per (load, policy) cell.
 
 use fifoms_core::{AdmissionPolicy, BufferConfig, MulticastVoqSwitch};
 use fifoms_fabric::{CheckedSwitch, Switch};
-use fifoms_traffic::{BernoulliMulticast, DeferralQueue};
-use fifoms_types::{ObsEvent, Slot};
+use fifoms_traffic::BernoulliMulticast;
 
 use crate::engine::{try_simulate_observed, Observer, RunConfig, TelemetrySpec};
-
-/// Ladder thresholds as percent of configured capacity.
-const LEVEL_1_PCT: u64 = 50;
-const LEVEL_2_PCT: u64 = 75;
-const LEVEL_3_PCT: u64 = 90;
-
-/// The degradation-ladder driver: backlog-vs-capacity hysteresis-free
-/// level tracking with an event on every transition.
-#[derive(Clone, Copy, Debug)]
-pub struct OverloadGovernor {
-    capacity: u64,
-    level: u32,
-}
-
-impl OverloadGovernor {
-    /// A governor for a switch whose total buffered copies are bounded
-    /// by `capacity` (see [`BufferConfig::max_copies`]). A zero capacity
-    /// disables the ladder (the governor stays at level 0 forever).
-    pub fn new(capacity: u64) -> OverloadGovernor {
-        OverloadGovernor { capacity, level: 0 }
-    }
-
-    /// The current ladder level (0 = fully healthy .. 3 = shedding
-    /// fanout).
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
-    /// Observe this slot's backlog; returns the transition event when
-    /// the level changed.
-    pub fn observe(&mut self, now: Slot, backlog_copies: u64) -> Option<ObsEvent> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let pct = backlog_copies.saturating_mul(100) / self.capacity;
-        let level = if pct >= LEVEL_3_PCT {
-            3
-        } else if pct >= LEVEL_2_PCT {
-            2
-        } else if pct >= LEVEL_1_PCT {
-            1
-        } else {
-            0
-        };
-        if level == self.level {
-            return None;
-        }
-        self.level = level;
-        Some(ObsEvent::OverloadLevel {
-            slot: now,
-            level,
-            backlog_copies,
-        })
-    }
-}
-
-/// Engine-side overload machinery for one run: consulted once per slot
-/// by `try_simulate_controlled`, inert fields cost nothing.
-#[derive(Debug)]
-pub struct OverloadControls {
-    /// When set, arrivals offered to an input whose
-    /// [`Switch::backpressure`] signal is asserted are deferred instead
-    /// of admitted, and re-offered (oldest first, one per slot) once
-    /// the signal clears.
-    ///
-    /// [`Switch::backpressure`]: fifoms_fabric::Switch::backpressure
-    pub pause_on_backpressure: bool,
-    /// The holding pen for deferred arrivals.
-    pub deferrals: DeferralQueue,
-    /// The degradation ladder, if enabled.
-    pub governor: Option<OverloadGovernor>,
-    /// Packet-scoped trace events shed at ladder level >= 1.
-    pub events_shed: u64,
-    /// Occupancy samples skipped at ladder level >= 2.
-    pub samples_skipped: u64,
-    /// Copies trimmed from arriving fanouts at ladder level 3.
-    pub fanout_copies_trimmed: u64,
-}
-
-impl OverloadControls {
-    /// Inert controls for an `ports`-input switch: no backpressure
-    /// pause, no governor. `try_simulate_controlled` with these behaves
-    /// exactly like `try_simulate`.
-    pub fn new(ports: usize) -> OverloadControls {
-        OverloadControls {
-            pause_on_backpressure: false,
-            deferrals: DeferralQueue::new(ports),
-            governor: None,
-            events_shed: 0,
-            samples_skipped: 0,
-            fanout_copies_trimmed: 0,
-        }
-    }
-
-    /// Enable backpressure-driven arrival deferral.
-    pub fn with_backpressure(mut self) -> OverloadControls {
-        self.pause_on_backpressure = true;
-        self
-    }
-
-    /// Attach the degradation ladder.
-    pub fn with_governor(mut self, governor: OverloadGovernor) -> OverloadControls {
-        self.governor = Some(governor);
-        self
-    }
-
-    /// The current ladder level (0 when no governor is attached).
-    pub fn level(&self) -> u32 {
-        self.governor.map_or(0, |g| g.level())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Loss-rate / stability-region sweep
-// ---------------------------------------------------------------------
 
 /// One (load, policy) cell of the loss sweep.
 #[derive(Clone, Debug)]
@@ -311,7 +179,7 @@ fn run_cell(
     let backlog = checker.backlog().copies as u64;
     LossPoint {
         load,
-        policy: policy.map_or_else(|| "baseline".to_string(), |p| p.as_str().to_string()),
+        policy: policy_name,
         admitted,
         delivered: checker.delivered_copies(),
         admission_dropped: dropped,
@@ -329,40 +197,6 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn governor_walks_the_ladder_and_reports_transitions() {
-        let mut g = OverloadGovernor::new(100);
-        assert_eq!(g.level(), 0);
-        assert!(g.observe(Slot(0), 10).is_none(), "still healthy");
-        let up = g.observe(Slot(1), 60).expect("50% crossed");
-        assert!(matches!(up, ObsEvent::OverloadLevel { level: 1, .. }));
-        assert!(g.observe(Slot(2), 70).is_none(), "same level, no event");
-        let top = g.observe(Slot(3), 95).expect("90% crossed");
-        assert!(matches!(top, ObsEvent::OverloadLevel { level: 3, .. }));
-        let down = g.observe(Slot(4), 80).expect("fell back to 2");
-        assert!(matches!(down, ObsEvent::OverloadLevel { level: 2, .. }));
-        assert_eq!(g.level(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_governor() {
-        let mut g = OverloadGovernor::new(0);
-        assert!(g.observe(Slot(0), u64::MAX).is_none());
-        assert_eq!(g.level(), 0);
-    }
-
-    #[test]
-    fn inert_controls_report_level_zero() {
-        let c = OverloadControls::new(4);
-        assert!(!c.pause_on_backpressure);
-        assert_eq!(c.level(), 0);
-        let c = OverloadControls::new(4)
-            .with_backpressure()
-            .with_governor(OverloadGovernor::new(10));
-        assert!(c.pause_on_backpressure);
-        assert_eq!(c.level(), 0);
-    }
 
     #[test]
     fn loss_sweep_separates_finite_policies_from_the_baseline() {

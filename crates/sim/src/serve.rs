@@ -3,8 +3,8 @@
 //!
 //! [`serve`] drives one `(switch, traffic)` pair exactly like
 //! [`try_simulate_recoverable`](crate::try_simulate_recoverable), but in
-//! a *worker* thread guarded by the chaos watchdog
-//! ([`run_guarded`](crate::run_guarded)). When the worker crashes
+//! a *worker* thread under the shared cell guard
+//! ([`guarded`](crate::guarded)). When the worker crashes
 //! (panics, returns an error, or is deliberately killed through the
 //! [`SimError::Killed`] injection hook) or wedges (the watchdog fires),
 //! the supervisor restarts it from the newest valid checkpoint in the
@@ -25,16 +25,16 @@
 //! back to the previous valid checkpoint rather than dying on a torn or
 //! bit-flipped file.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 use fifoms_fabric::Switch;
 use fifoms_obs::EventSink;
 use fifoms_traffic::TrafficModel;
 use fifoms_types::{ObsEvent, SimError, Slot};
 
-use crate::chaos::run_guarded;
 use crate::engine::{try_simulate_recoverable, Observer, RunConfig, RunResult};
+use crate::guard::{guarded, CellFailureReason};
 use crate::recover::{CheckpointConfig, RecoveryRuntime, ResumeInfo};
 
 /// Event-scope tag under which the supervisor emits its lifecycle
@@ -102,8 +102,8 @@ pub struct ServeReport {
 
 /// One worker attempt: open (or resume) the state directory, build a
 /// fresh switch/traffic stack, and run to completion. The supervisor
-/// wraps this in `catch_unwind`, so panics anywhere in here surface as
-/// structured [`SimError::Recovery`] errors rather than wedges.
+/// runs this under [`guarded`], so a panic anywhere in here surfaces as
+/// a structured failure rather than a wedge.
 fn attempt<FS, FT>(
     cfg: &ServeConfig,
     build_switch: &FS,
@@ -153,16 +153,6 @@ where
     Ok((result, resumed_from, replayed))
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Exponential backoff for the `k`-th restart (1-based), capped.
 fn backoff_millis(cfg: &ServeConfig, restart: u32) -> u64 {
     let doublings = restart.saturating_sub(1).min(20);
@@ -203,28 +193,22 @@ where
         // The deliberate-crash hook arms only the first attempt, so a
         // `die_at` session exercises exactly one recover cycle.
         let die_at = if attempts == 0 { cfg.die_at } else { None };
-        // The whole attempt — builders included — runs under
-        // catch_unwind, so a panic anywhere in the worker surfaces as a
-        // structured error instead of looking like a wedge.
-        let outcome = run_guarded(cfg.worker_timeout_millis, move || {
-            catch_unwind(AssertUnwindSafe(|| {
-                attempt(
-                    &worker_cfg,
-                    &worker_switch,
-                    &worker_traffic,
-                    worker_sink.as_ref(),
-                    die_at,
-                )
-            }))
-            .unwrap_or_else(|panic| {
-                Err(SimError::Recovery {
-                    message: format!("worker panicked: {}", panic_message(&panic)),
-                })
-            })
+        // The whole attempt — builders included — runs under the guard,
+        // so a panic anywhere in the worker surfaces as a structured
+        // failure instead of looking like a wedge.
+        let limit = Duration::from_millis(cfg.worker_timeout_millis);
+        let outcome = guarded(Some(limit), move || {
+            attempt(
+                &worker_cfg,
+                &worker_switch,
+                &worker_traffic,
+                worker_sink.as_ref(),
+                die_at,
+            )
         });
         attempts = attempts.saturating_add(1);
         match outcome {
-            Ok(Ok((result, resumed_from, replayed))) => {
+            Ok((result, resumed_from, replayed)) => {
                 return Ok(ServeReport {
                     result,
                     attempts,
@@ -233,9 +217,11 @@ where
                     replayed,
                 });
             }
-            Ok(Err(e)) => last_failure = e.to_string(),
-            Err(0) => last_failure = "worker thread failed to spawn".to_string(),
-            Err(ms) => last_failure = format!("worker wedged: watchdog fired after {ms}ms"),
+            Err(CellFailureReason::Error(msg)) => last_failure = msg,
+            Err(CellFailureReason::Panic(msg)) => last_failure = format!("worker panicked: {msg}"),
+            Err(CellFailureReason::Timeout { millis }) => {
+                last_failure = format!("worker wedged: watchdog fired after {millis}ms")
+            }
         }
         if restarts >= cfg.max_restarts {
             return Err(SimError::Recovery {

@@ -2,18 +2,17 @@
 //!
 //! Beyond the plain serial/parallel runners, this module provides the
 //! **fault-isolated** runner used by long sweeps: every grid cell executes
-//! behind [`std::panic::catch_unwind`] (and, optionally, a wall-clock
-//! watchdog thread with a bounded retry budget), so one crashing or hung
-//! scheduler configuration becomes a structured [`CellOutcome::Failed`]
-//! row instead of taking the whole grid down. Combined with the
-//! [checkpoint journal](crate::checkpoint), a killed sweep resumes from
-//! its last finished cell and provably reproduces the identical result
-//! set, because every cell is independently and deterministically seeded.
+//! under the shared cell guard ([`guarded`]: panic containment plus an
+//! optional wall-clock watchdog) with a bounded retry budget, so one
+//! crashing or hung scheduler configuration becomes a structured
+//! [`CellOutcome::Failed`] row instead of taking the whole grid down.
+//! Combined with the [checkpoint journal](crate::checkpoint), a killed
+//! sweep resumes from its last finished cell and provably reproduces the
+//! identical result set, because every cell is independently and
+//! deterministically seeded.
 
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fifoms_fabric::{
@@ -23,7 +22,8 @@ use fifoms_obs::{EventSink, ProgressMeter};
 use fifoms_types::SimError;
 
 use crate::checkpoint::CheckpointJournal;
-use crate::engine::{simulate, try_simulate_observed, Observer, RunConfig, RunResult, TelemetrySpec};
+use crate::engine::{try_simulate_observed, Observer, RunConfig, RunResult, TelemetrySpec};
+use crate::guard::{guarded, CellFailureReason};
 use crate::spec::{SwitchKind, TrafficKind};
 
 /// One completed grid cell.
@@ -71,33 +71,6 @@ impl CellPolicy {
         CellPolicy {
             check_every: Some(k),
             ..CellPolicy::default()
-        }
-    }
-}
-
-/// Why a grid cell failed.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CellFailureReason {
-    /// The cell's scheduler or workload panicked; the payload message.
-    Panic(String),
-    /// The cell exceeded the policy's wall-clock budget.
-    Timeout {
-        /// The budget that was exceeded, in milliseconds.
-        millis: u64,
-    },
-    /// The cell reported a structured error (invalid parameters or an
-    /// invariant violation), rendered via its `Display`.
-    Error(String),
-}
-
-impl fmt::Display for CellFailureReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CellFailureReason::Panic(msg) => write!(f, "panicked: {msg}"),
-            CellFailureReason::Timeout { millis } => {
-                write!(f, "timed out after {millis} ms")
-            }
-            CellFailureReason::Error(msg) => write!(f, "error: {msg}"),
         }
     }
 }
@@ -243,54 +216,6 @@ fn exec_cell(spec: &CellSpec) -> Result<SweepRow, SimError> {
     })
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with a non-string payload".to_string()
-    }
-}
-
-/// One attempt with panic containment.
-fn run_cell_protected(spec: &CellSpec) -> Result<SweepRow, CellFailureReason> {
-    match catch_unwind(AssertUnwindSafe(|| exec_cell(spec))) {
-        Ok(Ok(row)) => Ok(row),
-        Ok(Err(e)) => Err(CellFailureReason::Error(e.to_string())),
-        Err(payload) => Err(CellFailureReason::Panic(panic_message(payload.as_ref()))),
-    }
-}
-
-/// One attempt with panic containment and an optional watchdog.
-fn run_cell_guarded(
-    spec: &CellSpec,
-    timeout: Option<Duration>,
-) -> Result<SweepRow, CellFailureReason> {
-    let Some(limit) = timeout else {
-        return run_cell_protected(spec);
-    };
-    let (tx, rx) = mpsc::channel();
-    let owned = spec.clone();
-    let spawned = std::thread::Builder::new()
-        .name("fifoms-cell".into())
-        .spawn(move || {
-            // The receiver may be gone already (timeout): ignore the error.
-            let _ = tx.send(run_cell_protected(&owned));
-        });
-    if let Err(e) = spawned {
-        return Err(CellFailureReason::Error(format!(
-            "failed to spawn cell worker: {e}"
-        )));
-    }
-    match rx.recv_timeout(limit) {
-        Ok(res) => res,
-        Err(_) => Err(CellFailureReason::Timeout {
-            millis: limit.as_millis() as u64,
-        }),
-    }
-}
-
 /// Optional sweep-level observation shared across all grid cells.
 ///
 /// [`SweepObserver::disabled`] carries neither a sink nor a meter, and the
@@ -339,15 +264,14 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Execute every cell on the current thread.
+    /// Execute every cell one at a time: [`Sweep::run_parallel`] with a
+    /// single worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the full grid has run if any cell failed.
     pub fn run_serial(&self) -> Vec<SweepRow> {
-        let mut rows = Vec::with_capacity(self.switches.len() * self.points.len());
-        for (si, sk) in self.switches.iter().enumerate() {
-            for (pi, (load, tk)) in self.points.iter().enumerate() {
-                rows.push(self.run_cell(*sk, si, *load, *tk, pi));
-            }
-        }
-        rows
+        self.run_parallel(1)
     }
 
     /// Execute the grid across `threads` worker threads (work-stealing by
@@ -524,12 +448,6 @@ impl Sweep {
             .collect())
     }
 
-    /// Run the cell at grid position `(si, pi)` under the policy's
-    /// isolation: panics contained, optional watchdog, bounded retries.
-    pub fn run_cell_isolated(&self, si: usize, pi: usize, policy: &CellPolicy) -> CellOutcome {
-        self.run_cell_observed(si, pi, policy, None, PacketTraceMode::Off, None)
-    }
-
     fn run_cell_observed(
         &self,
         si: usize,
@@ -543,7 +461,8 @@ impl Sweep {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            match run_cell_guarded(&spec, policy.timeout) {
+            let owned = spec.clone();
+            match guarded(policy.timeout, move || exec_cell(&owned)) {
                 Ok(row) => return CellOutcome::Completed(row),
                 Err(reason) => {
                     // Structured errors are deterministic — retrying them
@@ -591,28 +510,6 @@ impl Sweep {
             packet_trace,
             telemetry,
             scope,
-        }
-    }
-
-    fn run_cell(
-        &self,
-        sk: SwitchKind,
-        switch_idx: usize,
-        load: f64,
-        tk: TrafficKind,
-        point_idx: usize,
-    ) -> SweepRow {
-        // Workload seed depends only on the point → identical arrivals for
-        // every scheduler; switch seed also varies by scheduler.
-        let traffic_seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (point_idx as u64);
-        let switch_seed = traffic_seed ^ ((switch_idx as u64 + 1) << 32);
-        let mut switch = sk.build(self.n, switch_seed);
-        let mut traffic = tk.build(self.n, traffic_seed);
-        let result = simulate(switch.as_mut(), traffic.as_mut(), &self.run);
-        SweepRow {
-            switch: sk,
-            load,
-            result,
         }
     }
 
@@ -801,7 +698,7 @@ mod tests {
         sweep.switches = vec![SwitchKind::ChaosPanic { at: 100 }, SwitchKind::Fifoms];
         let err = std::panic::catch_unwind(|| sweep.run_parallel(2))
             .expect_err("a failed cell must still surface");
-        let msg = super::panic_message(err.as_ref());
+        let msg = crate::guard::panic_message(err.as_ref());
         assert!(msg.contains("chaos-panic@100"), "{msg}");
         assert!(!msg.contains("poisoned"), "{msg}");
     }

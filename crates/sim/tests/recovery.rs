@@ -17,12 +17,14 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fifoms_obs::{CountingWriter, JsonlSink};
+use fifoms_core::MulticastVoqSwitch;
+use fifoms_obs::{CountingWriter, JsonlSink, Telemetry, WindowStats};
 use fifoms_sim::{
-    truncate_file, try_simulate_recoverable, CheckpointConfig, Observer, RecoveryRuntime,
-    RunConfig, RunResult, SwitchKind, TrafficKind,
+    truncate_file, try_simulate_recoverable, CheckedSwitch, CheckpointConfig, FaultConfig,
+    FaultyFabric, InstrumentedSwitch, Observer, RecoveryRuntime, RunConfig, RunResult, SwitchKind,
+    TelemetryChannel, TrafficKind,
 };
-use fifoms_types::{frame_state, unframe_state, SimError};
+use fifoms_types::{frame_state, unframe_state, InvariantViolation, SimError};
 
 /// xorshift64* — deterministic, dependency-free pseudo-randomness.
 struct Rng(u64);
@@ -61,6 +63,24 @@ fn recoverable_run(
 ) -> Result<RunResult, SimError> {
     let mut switch = SwitchKind::Fifoms.build(8, seed);
     let mut traffic = TrafficKind::Bernoulli { p: 0.35, b: 0.25 }.try_build(8, seed ^ 0x5a5a)?;
+    let (mut rec, sink) = open_recovery(dir, trace, every, kill, resume)?;
+    let mut obs = Observer {
+        sink: Some((&sink, "recovery-prop")),
+        profiler: None,
+        telemetry: None,
+    };
+    try_simulate_recoverable(switch.as_mut(), traffic.as_mut(), cfg, &mut obs, &mut rec)
+}
+
+/// Open (or resume) `dir` and the trace file behind a byte-counting JSONL
+/// sink whose offset the checkpoints record.
+fn open_recovery(
+    dir: &Path,
+    trace: &Path,
+    every: u64,
+    kill: Option<u64>,
+    resume: bool,
+) -> Result<(RecoveryRuntime, JsonlSink<CountingWriter<fs::File>>), SimError> {
     let ck = CheckpointConfig {
         dir: dir.to_path_buf(),
         every,
@@ -86,13 +106,7 @@ fn recoverable_run(
     };
     let (writer, offset) = CountingWriter::new(file);
     rec.attach_trace(offset);
-    let sink = JsonlSink::new(writer);
-    let mut obs = Observer {
-        sink: Some((&sink, "recovery-prop")),
-        profiler: None,
-        telemetry: None,
-    };
-    try_simulate_recoverable(switch.as_mut(), traffic.as_mut(), cfg, &mut obs, &mut rec)
+    Ok((rec, JsonlSink::new(writer)))
 }
 
 /// Kill-and-recover one random geometry; panics with the triple in the
@@ -278,5 +292,99 @@ fn corrupt_checkpoint_files_fall_back_never_panic() {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// What one campaign-stack run leaves behind for comparison.
+struct CampaignRun {
+    result: Result<RunResult, SimError>,
+    violation: Option<InvariantViolation>,
+    /// Every closed telemetry window, then the run totals, with the
+    /// wall-clock fields zeroed.
+    windows: Vec<WindowStats>,
+}
+
+/// The stack campaigns run, fully observed: `CheckedSwitch` outside an
+/// egress `FaultyFabric` (event recording on) outside
+/// `InstrumentedSwitch` outside FIFOMS at N=8, Bernoulli load 0.6 with
+/// b=0.25, a trace sink and a telemetry window of 500 slots, a
+/// checkpoint every 1000 slots.
+fn campaign_run(dir: &Path, trace: &Path, kill: Option<u64>, resume: bool) -> CampaignRun {
+    const N: usize = 8;
+    const SEED: u64 = 2026;
+    let cfg = RunConfig::quick(6_000);
+    let core = MulticastVoqSwitch::new(N, SEED).with_quarantine_slots(200);
+    let mut switch = CheckedSwitch::new(
+        FaultyFabric::new(InstrumentedSwitch::new(core), FaultConfig::egress(SEED))
+            .with_event_recording(),
+    );
+    let mut traffic = TrafficKind::bernoulli_at_load(0.6, 0.25, N).build(N, SEED ^ 0x5a5a);
+    let mut telemetry = Telemetry::new(N, 500);
+    let result = open_recovery(dir, trace, 1_000, kill, resume).and_then(|(mut rec, sink)| {
+        let mut obs = Observer {
+            sink: Some((&sink, "campaign")),
+            profiler: None,
+            telemetry: Some(TelemetryChannel {
+                telemetry: &mut telemetry,
+                series: None,
+                bus: None,
+            }),
+        };
+        try_simulate_recoverable(&mut switch, traffic.as_mut(), &cfg, &mut obs, &mut rec)
+    });
+    let masked = |w: &WindowStats| WindowStats {
+        sched_ns: 0,
+        wall_ns: 0,
+        ..*w
+    };
+    CampaignRun {
+        result,
+        violation: switch.violation().cloned(),
+        windows: telemetry
+            .windows()
+            .chain(std::iter::once(telemetry.totals()))
+            .map(masked)
+            .collect(),
+    }
+}
+
+#[test]
+fn killed_campaign_stack_with_observer_recovers_bit_identically() {
+    let base = test_dir("campaign");
+    let _ = fs::remove_dir_all(&base);
+    let ref_dir = base.join("ref");
+    let ref_trace = ref_dir.join("trace.jsonl");
+    let reference = campaign_run(&ref_dir, &ref_trace, None, false);
+    let reference_result = reference.result.expect("reference run");
+
+    let dir = base.join("kill");
+    let trace = dir.join("trace.jsonl");
+    match campaign_run(&dir, &trace, Some(4_321), false).result {
+        Err(SimError::Killed { slot }) => assert_eq!(slot, 4_321),
+        other => panic!("expected Killed, got {other:?}"),
+    }
+    let recovered = campaign_run(&dir, &trace, None, true);
+    let recovered_result = recovered.result.expect("recovered run");
+
+    assert_eq!(
+        format!("{reference_result:?}"),
+        format!("{recovered_result:?}"),
+        "RunResult diverged"
+    );
+    let ref_bytes = fs::read(&ref_trace).expect("read reference trace");
+    let got_bytes = fs::read(&trace).expect("read recovered trace");
+    assert!(ref_bytes == got_bytes, "trace bytes diverged");
+    assert_eq!(
+        reference.violation, recovered.violation,
+        "violation diverged"
+    );
+    assert!(
+        reference.windows.len() > 6_000 / 500,
+        "every window retained"
+    );
+    assert_eq!(
+        reference.windows, recovered.windows,
+        "telemetry windows diverged"
+    );
     let _ = fs::remove_dir_all(&base);
 }

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backpressure;
 mod bernoulli;
 mod burst;
 mod mixed;
@@ -34,7 +33,6 @@ mod trace;
 mod unicast;
 mod uniform;
 
-pub use backpressure::DeferralQueue;
 pub use bernoulli::BernoulliMulticast;
 pub use burst::BurstTraffic;
 pub use mixed::MixedTraffic;

@@ -712,16 +712,8 @@ pub fn put_obs_event(w: &mut StateWriter, ev: &crate::ObsEvent) {
             w.put_port(*output);
             w.put_u64(*depth);
         }
-        E::OverloadLevel {
-            slot,
-            level,
-            backlog_copies,
-        } => {
-            w.put_u8(12);
-            w.put_slot(*slot);
-            w.put_u32(*level);
-            w.put_u64(*backlog_copies);
-        }
+        // Tag 12 is retired (the removed overload-governor event); it
+        // must not be reused, so older blobs never decode as a new kind.
         E::PhaseTimed {
             phase,
             calls,
@@ -773,7 +765,6 @@ pub fn put_obs_event(w: &mut StateWriter, ev: &crate::ObsEvent) {
             voq_high_water,
             backlog_copies,
             quarantined_paths,
-            overload_level,
             sched_ns,
             wall_ns,
         } => {
@@ -792,7 +783,6 @@ pub fn put_obs_event(w: &mut StateWriter, ev: &crate::ObsEvent) {
             w.put_u64(*voq_high_water);
             w.put_u64(*backlog_copies);
             w.put_u32(*quarantined_paths);
-            w.put_u32(*overload_level);
             w.put_u64(*sched_ns);
             w.put_u64(*wall_ns);
         }
@@ -914,11 +904,6 @@ pub fn get_obs_event(r: &mut StateReader<'_>) -> Result<crate::ObsEvent, StateEr
             output: r.get_port()?,
             depth: r.get_u64()?,
         },
-        12 => E::OverloadLevel {
-            slot: r.get_slot()?,
-            level: r.get_u32()?,
-            backlog_copies: r.get_u64()?,
-        },
         13 => E::PhaseTimed {
             phase: r.get_str()?.to_string(),
             calls: r.get_u64()?,
@@ -952,7 +937,6 @@ pub fn get_obs_event(r: &mut StateReader<'_>) -> Result<crate::ObsEvent, StateEr
             voq_high_water: r.get_u64()?,
             backlog_copies: r.get_u64()?,
             quarantined_paths: r.get_u32()?,
-            overload_level: r.get_u32()?,
             sched_ns: r.get_u64()?,
             wall_ns: r.get_u64()?,
         },

@@ -45,6 +45,21 @@ pub use packet::Packet;
 pub use portset::{PortSet, PortSetIter};
 pub use timing::{SpanSample, SpanTimer};
 
+/// The splitmix64 stream increment, `2^64 / φ` rounded to odd.
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One splitmix64 output for generator state `z` (Steele, Lea & Flood,
+/// OOPSLA 2014): the state advanced by [`SPLITMIX64_GAMMA`], then
+/// finalised. Stateless, so it doubles as a well-mixed hash of a seed;
+/// the generator's stream from state `s` is `splitmix64(s)`,
+/// `splitmix64(s + γ)`, `splitmix64(s + 2γ)`, ...
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(SPLITMIX64_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// The largest switch size the workspace supports.
 ///
 /// The paper evaluates a 16×16 switch; we allow considerably larger switches

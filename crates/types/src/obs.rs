@@ -215,17 +215,6 @@ pub enum ObsEvent {
         /// Queue depth (address cells) at the crossing.
         depth: u64,
     },
-    /// The overload governor moved to a new rung of the degradation
-    /// ladder (0 = healthy, 1 = shed packet tracing, 2 = sample metrics,
-    /// 3 = shed lowest-priority fanout).
-    OverloadLevel {
-        /// The slot the level changed.
-        slot: Slot,
-        /// The new degradation level.
-        level: u32,
-        /// Queued copies that drove the decision.
-        backlog_copies: u64,
-    },
     /// Aggregated wall time of one named profiler phase (or nested
     /// span), emitted once at end-of-run by profiled runs that also
     /// carry a trace sink. Spans are identified by name; nested spans
@@ -306,8 +295,6 @@ pub enum ObsEvent {
         /// `(input, output)` paths quarantined by the fault scoreboard
         /// when the window closed.
         quarantined_paths: u32,
-        /// Highest overload-governor rung observed this window.
-        overload_level: u32,
         /// Wall time spent inside the scheduler's `run_slot` this window,
         /// in ns (0 when the engine does not time the schedule phase).
         sched_ns: u64,
@@ -376,7 +363,6 @@ impl ObsEvent {
             ObsEvent::PacketCompleted { .. } => "packet_completed",
             ObsEvent::AdmissionDropped { .. } => "admission_dropped",
             ObsEvent::VoqHighWater { .. } => "voq_high_water",
-            ObsEvent::OverloadLevel { .. } => "overload_level",
             ObsEvent::PhaseTimed { .. } => "phase_timed",
             ObsEvent::SlotTimeSummary { .. } => "slot_time",
             ObsEvent::WindowMeta { .. } => "window_meta",
@@ -408,7 +394,6 @@ impl ObsEvent {
             | ObsEvent::PacketCompleted { slot, .. }
             | ObsEvent::AdmissionDropped { slot, .. }
             | ObsEvent::VoqHighWater { slot, .. }
-            | ObsEvent::OverloadLevel { slot, .. }
             | ObsEvent::CheckpointWritten { slot, .. }
             | ObsEvent::RecoveryStarted { slot, .. }
             | ObsEvent::RecoveryCompleted { slot, .. } => Some(*slot),
@@ -545,7 +530,6 @@ mod tests {
             voq_high_water: 48,
             backlog_copies: 90,
             quarantined_paths: 1,
-            overload_level: 2,
             sched_ns: 1_000_000,
             wall_ns: 2_000_000,
         };
@@ -572,12 +556,5 @@ mod tests {
         };
         assert_eq!(high.kind(), "voq_high_water");
         assert_eq!(high.slot(), Some(Slot(8)));
-        let level = ObsEvent::OverloadLevel {
-            slot: Slot(12),
-            level: 2,
-            backlog_copies: 9000,
-        };
-        assert_eq!(level.kind(), "overload_level");
-        assert_eq!(level.slot(), Some(Slot(12)));
     }
 }

@@ -55,6 +55,13 @@
 #      (The chaos smoke in stage 8 already runs the checkpoint-corruption
 #      campaign — torn write, bit flip, truncation, stale tmp — as part
 #      of the same invocation.)
+#  14. a layered-benchmark smoke: layerbench/ compiles against the
+#      simulator's public API and pins seed-1 RunResults for all three
+#      workloads, so an API or behaviour break fails here rather than
+#      only in the benchmark pipeline. Each workload runs for one second
+#      and must report "correct":true with zero failed checks, and the
+#      self-test must catch its planted sabotage. The build goes to a
+#      temporary target directory so nothing under layerbench/ is written.
 #
 # Run from anywhere inside the repository.
 
@@ -154,5 +161,20 @@ grep -q '"event":"recovery_completed"' "$tmp/supervisor.jsonl"
 diff <(grep "admitted" "$tmp/serve-ref.txt") \
      <(grep "admitted" "$tmp/serve-kill.txt")
 grep -q "checkpoint-corruption campaign" "$tmp/chaos.txt"
+
+echo "== layered benchmark smoke (pinned results + sabotage self-test) =="
+for w in bernoulli-n64 burst-n16 campaign-n8; do
+  CARGO_TARGET_DIR="$tmp/layerbench" python3 layerbench/run.py \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 > "$tmp/lb-$w.txt"
+  tail -n 1 "$tmp/lb-$w.txt" > "$tmp/lb-$w.json"
+  cut -c 1-160 "$tmp/lb-$w.json"
+  grep -q '"correct":true' "$tmp/lb-$w.json"
+  grep -q '"failed":0[,}]' "$tmp/lb-$w.json"
+done
+# The self-test's stderr lists the checks its planted sabotage failed.
+CARGO_TARGET_DIR="$tmp/layerbench" python3 layerbench/run.py --self-test \
+  > "$tmp/lb-self-test.txt" 2> "$tmp/lb-self-test.err"
+tail -n 1 "$tmp/lb-self-test.txt" > "$tmp/lb-self-test.json"
+grep -q '"sabotage_caught":true' "$tmp/lb-self-test.json"
 
 echo "CI checks passed."
