@@ -199,19 +199,30 @@ fn write_num(f: &mut fmt::Formatter<'_>, x: f64) -> fmt::Result {
     }
 }
 
+/// Write `s` as a JSON string literal. Every byte that needs escaping is
+/// ASCII, and no byte of a multi-byte UTF-8 sequence is, so the text
+/// between two escapes is a whole `str` slice written with one call.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1F => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -392,6 +403,55 @@ mod tests {
         // replacement keeps position
         obj.set("b", 9u64);
         assert_eq!(obj.to_string(), r#"{"b":9,"a":2,"s":"x\"y\n"}"#);
+    }
+
+    /// The per-character escaper `write_escaped` replaced: the reference
+    /// its output must match byte for byte.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_escaping_matches_the_per_char_escaper() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut cases = vec![
+            String::new(),
+            "plain".to_string(),
+            "\"".to_string(),
+            "\\".to_string(),
+            "a\"b\\c\"\"\\\\".to_string(),
+            controls.clone(),
+            format!("x{controls}y"),
+            "é—漢字🦀 mixed \"quoted\" \\ and\ttabs\n".to_string(),
+            "🦀\u{1}🦀\u{1f}é".to_string(),
+            "\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}".to_string(),
+        ];
+        for c in (0u8..0x20).map(char::from) {
+            cases.push(format!("{c}"));
+            cases.push(format!("é{c}é"));
+        }
+        for case in &cases {
+            let written = Json::Str(case.clone()).to_string();
+            assert_eq!(written, escape_per_char(case), "escaping {case:?}");
+            assert_eq!(Json::parse(&written).unwrap().as_str(), Some(case.as_str()));
+            // Keys take the same path as string values.
+            let mut obj = Json::object();
+            obj.set(case, 1u64);
+            assert_eq!(obj.to_string(), format!("{{{}:1}}", escape_per_char(case)));
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! 2. **No steady-state allocation.** Window summaries are all-integer
 //!    [`ObsEvent`]s, the closed-window ring is pre-sized and recycles its
 //!    slots, and per-input tallies live in fixed vectors sized at
-//!    construction. Only snapshot *publication* (an explicitly opted-in
-//!    file write) builds transient JSON.
+//!    construction. Snapshot publication copies counters into a buffer
+//!    sized at the scope's first publication; the transient JSON is
+//!    built on the [`SnapshotBus`]'s own thread.
 //! 3. **No new dependencies.** Snapshots reuse the hand-rolled [`Json`];
 //!    the Prometheus exposition is plain text.
 
@@ -26,7 +27,16 @@ use fifoms_types::{Checkpoint, ObsEvent, PortId, StateError, StateReader, StateW
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
+
+/// How often the snapshot publisher looks for pending publications.
+/// Plain publications do not wake it: a woken thread tends to be placed
+/// on the waker's CPU, where its render would stall the slot loop that
+/// published. Barriers wake it at once. The tick bounds the rewrite rate
+/// at 100 a second and the snapshot's staleness at 10 ms.
+const PUBLISH_TICK: Duration = Duration::from_millis(10);
 
 /// Closed windows retained in the live ring by default. 64 windows at
 /// the default stride of 1000 slots is a minute-scale trend view at
@@ -343,11 +353,52 @@ impl Telemetry {
     }
 
     /// Render the accumulator as one scope document of a
-    /// `fifoms-telemetry-snapshot-v1` snapshot. Allocates; called only
-    /// on snapshot publication, never on the plain per-slot path.
+    /// `fifoms-telemetry-snapshot-v1` snapshot. Allocates; the slot loop
+    /// never calls it (a [`SnapshotBus`] renders on its own thread).
     pub fn snapshot(&self, complete: bool) -> Json {
+        let mut counters = ScopeCounters::default();
+        counters.copy_from(self, complete);
+        counters.to_json()
+    }
+}
+
+/// One scope's counters as of its latest publication: everything
+/// [`Telemetry::snapshot`] reads, copied out of the accumulator so the
+/// bus's publisher thread can render them while the run goes on.
+#[derive(Clone, Default)]
+struct ScopeCounters {
+    /// Bus sequence number of this scope's latest publication.
+    seq: u64,
+    complete: bool,
+    ports: usize,
+    stride: u64,
+    totals: WindowStats,
+    windows: Vec<WindowStats>,
+    inputs: Vec<InputStats>,
+    slot_ns: Log2Histogram,
+}
+
+impl ScopeCounters {
+    /// Overwrite with `t`'s current state. The vectors keep their
+    /// capacity (the window buffer is sized to the whole ring on the first
+    /// copy), so every copy after the first allocates nothing.
+    fn copy_from(&mut self, t: &Telemetry, complete: bool) {
+        self.complete = complete;
+        self.ports = t.ports;
+        self.stride = t.stride;
+        self.totals = t.totals;
+        self.windows.clear();
+        self.windows.reserve(t.ring_cap);
+        self.windows.extend(t.ring.iter().copied());
+        self.inputs.clear();
+        self.inputs.extend_from_slice(&t.inputs);
+        self.slot_ns = t.slot_ns.clone();
+    }
+
+    /// Render as one scope document, without its `seq`.
+    fn to_json(&self) -> Json {
         let mut obj = Json::object();
-        obj.set("complete", complete);
+        obj.set("complete", self.complete);
         obj.set("ports", self.ports as u64);
         obj.set("stride", self.stride);
         obj.set("slots", self.totals.slots);
@@ -382,7 +433,7 @@ impl Telemetry {
 
         obj.set(
             "windows",
-            Json::Arr(self.ring.iter().map(|w| w.to_json()).collect()),
+            Json::Arr(self.windows.iter().map(|w| w.to_json()).collect()),
         );
         obj.set(
             "inputs",
@@ -520,86 +571,273 @@ impl Checkpoint for Telemetry {
 }
 
 /// Shared publisher for live snapshots: collects the latest per-scope
-/// telemetry documents and rewrites a `fifoms-telemetry-snapshot-v1`
-/// JSON file (and, optionally, a Prometheus-style text exposition)
-/// atomically on every publication.
+/// telemetry and keeps a `fifoms-telemetry-snapshot-v1` JSON file (and,
+/// optionally, a Prometheus-style text exposition) current, rewriting
+/// each atomically.
+///
+/// Publication is a hand-off (DESIGN.md §14). [`SnapshotBus::publish`]
+/// copies the scope's counters into a buffer the bus owns and returns; a
+/// publisher thread, spawned at the first publication, picks them up on
+/// its next tick, renders both documents and writes the files. When
+/// publications outpace the writes, the thread renders only the newest
+/// state of each scope. A `complete` publication,
+/// [`SnapshotBus::write_errors`] and [`SnapshotBus::document`] are
+/// barriers: each wakes the thread and returns once a finished write
+/// contains every publication made before it. Dropping the bus writes
+/// anything pending and joins the thread.
 ///
 /// The bus is `Sync` — sweep workers running different cells publish
-/// concurrently behind one `Arc`. The sequence number is a monotonic
-/// publication counter (no wall-clock timestamps: snapshots from the
-/// same campaign replay byte-identically).
+/// concurrently behind one `Arc`. The top-level `seq` counts
+/// publications, and each scope carries the `seq` of its latest one (no
+/// wall-clock timestamps: snapshots from the same campaign replay
+/// byte-identically).
 pub struct SnapshotBus {
+    shared: Arc<Shared>,
+}
+
+/// What the publishing callers and the publisher thread share.
+struct Shared {
     snapshot_path: Option<PathBuf>,
     prom_path: Option<PathBuf>,
     state: Mutex<BusState>,
+    /// Wakes the publisher: a barrier is waiting or the bus is closing.
+    work: Condvar,
+    /// Wakes barrier waiters: a write finished or the publisher stopped.
+    done: Condvar,
 }
 
+#[derive(Default)]
 struct BusState {
+    /// Publications so far.
     seq: u64,
-    scopes: BTreeMap<String, Json>,
+    /// The highest `seq` that a finished write contains.
+    written: u64,
+    scopes: BTreeMap<String, ScopeCounters>,
     write_errors: u64,
+    /// The publisher thread, once spawned.
+    publisher: Option<JoinHandle<()>>,
+    /// Whether the publisher is serving; barriers stop waiting once it is
+    /// not, so a failed spawn or a dead thread never blocks a caller.
+    running: bool,
+    /// Set by `Drop`: the publisher writes what is pending, then exits.
+    closing: bool,
 }
 
 impl SnapshotBus {
     /// A bus writing the JSON snapshot to `snapshot_path` and/or the
-    /// Prometheus exposition to `prom_path` on every publication.
+    /// Prometheus exposition to `prom_path` after publications.
     pub fn new(snapshot_path: Option<PathBuf>, prom_path: Option<PathBuf>) -> SnapshotBus {
         SnapshotBus {
-            snapshot_path,
-            prom_path,
-            state: Mutex::new(BusState {
-                seq: 0,
-                scopes: BTreeMap::new(),
-                write_errors: 0,
+            shared: Arc::new(Shared {
+                snapshot_path,
+                prom_path,
+                state: Mutex::default(),
+                work: Condvar::new(),
+                done: Condvar::new(),
             }),
         }
     }
 
-    /// Publish the current state of one scope's telemetry. Rewrites the
-    /// configured output files; write failures are counted, never
-    /// propagated (telemetry must not abort a campaign).
+    /// Publish the current state of one scope's telemetry: copy its
+    /// counters for the publisher thread and return. No rendering, no
+    /// file I/O and no wake-up happen here, and after the scope's first
+    /// publication no allocation either. A `complete` publication also
+    /// waits until a finished write contains it. Failures are counted in
+    /// [`SnapshotBus::write_errors`], never propagated (telemetry must
+    /// not abort a campaign).
     pub fn publish(&self, scope: &str, telemetry: &Telemetry, complete: bool) {
-        let mut st = self.state.lock().expect("snapshot bus poisoned");
+        let mut st = self.shared.lock();
         st.seq += 1;
-        let mut doc = telemetry.snapshot(complete);
-        doc.set("seq", st.seq);
-        st.scopes.insert(scope.to_string(), doc);
-
-        let rendered = Self::render(&st);
-        if let Some(path) = &self.snapshot_path {
-            if write_atomically(path, rendered.to_string().as_bytes()).is_err() {
-                st.write_errors += 1;
+        let seq = st.seq;
+        let fill = |counters: &mut ScopeCounters| {
+            counters.copy_from(telemetry, complete);
+            counters.seq = seq;
+        };
+        match st.scopes.get_mut(scope) {
+            Some(counters) => fill(counters),
+            None => {
+                let mut counters = ScopeCounters::default();
+                fill(&mut counters);
+                st.scopes.insert(scope.to_string(), counters);
             }
+        }
+        if !st.running {
+            self.spawn_publisher(&mut st);
+        }
+        if complete {
+            drop(self.shared.settle(st, seq));
+        }
+    }
+
+    fn spawn_publisher(&self, st: &mut BusState) {
+        if let Some(stopped) = st.publisher.take() {
+            // It panicked and has already counted that as a write error.
+            let _ = stopped.join();
+        }
+        let shared = Arc::clone(&self.shared);
+        let spawned = thread::Builder::new()
+            .name("snapshot-publisher".into())
+            .spawn(move || shared.run_publisher());
+        match spawned {
+            Ok(handle) => {
+                st.publisher = Some(handle);
+                st.running = true;
+            }
+            Err(_) => st.write_errors += 1,
+        }
+    }
+
+    /// File writes that failed so far, once every publication made before
+    /// the call is written.
+    pub fn write_errors(&self) -> u64 {
+        let st = self.shared.lock();
+        let seq = st.seq;
+        self.shared.settle(st, seq).write_errors
+    }
+
+    /// The current snapshot document: what the files contain once every
+    /// publication made before the call is written, which this waits for.
+    pub fn document(&self) -> Json {
+        let st = self.shared.lock();
+        let seq = st.seq;
+        let st = self.shared.settle(st, seq);
+        let (seq, scopes) = (st.seq, st.scopes.clone());
+        drop(st);
+        render_document(seq, &scopes)
+    }
+}
+
+impl Drop for SnapshotBus {
+    fn drop(&mut self) {
+        let publisher = {
+            let mut st = self.shared.lock();
+            st.closing = true;
+            self.shared.work.notify_one();
+            st.publisher.take()
+        };
+        if let Some(handle) = publisher {
+            // A panicked publisher was already counted as a write error.
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Shared {
+    /// Lock the bus state. A lock poisoned by a panicking holder is
+    /// recovered and counted as a write error: every update made under
+    /// the lock leaves the state valid at each step.
+    fn lock(&self) -> MutexGuard<'_, BusState> {
+        self.state
+            .lock()
+            .unwrap_or_else(|p| self.recovered(p.into_inner()))
+    }
+
+    /// Wait on `cv` for at most one tick; callers re-check their
+    /// condition, so a missed signal costs a tick, never a hang.
+    fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, BusState>) -> MutexGuard<'a, BusState> {
+        cv.wait_timeout(st, PUBLISH_TICK)
+            .map(|(st, _)| st)
+            .unwrap_or_else(|p| self.recovered(p.into_inner().0))
+    }
+
+    fn recovered<'a>(&self, mut st: MutexGuard<'a, BusState>) -> MutexGuard<'a, BusState> {
+        self.state.clear_poison();
+        st.write_errors += 1;
+        st
+    }
+
+    /// Wake the publisher and wait until a finished write contains
+    /// publication `seq`, or until no publisher is running to make one.
+    fn settle<'a>(&self, mut st: MutexGuard<'a, BusState>, seq: u64) -> MutexGuard<'a, BusState> {
+        self.work.notify_one();
+        while st.running && st.written < seq {
+            st = self.wait(&self.done, st);
+        }
+        st
+    }
+
+    /// The publisher thread: once a tick, or when woken, copy the scopes
+    /// that changed since its last write, render and write outside the
+    /// lock, and repeat. Once the bus is closing and nothing is pending,
+    /// exit.
+    fn run_publisher(&self) {
+        let _stop = PublisherStop(self);
+        let mut scopes: BTreeMap<String, ScopeCounters> = BTreeMap::new();
+        loop {
+            let seq = {
+                let mut st = self.lock();
+                while st.written == st.seq && !st.closing {
+                    st = self.wait(&self.work, st);
+                }
+                if st.written == st.seq {
+                    return;
+                }
+                for (name, counters) in &st.scopes {
+                    match scopes.get_mut(name) {
+                        Some(mine) if mine.seq == counters.seq => {}
+                        Some(mine) => mine.clone_from(counters),
+                        None => {
+                            scopes.insert(name.clone(), counters.clone());
+                        }
+                    }
+                }
+                st.seq
+            };
+            let failed = self.write_files(seq, &scopes);
+            let mut st = self.lock();
+            st.written = seq;
+            st.write_errors += failed;
+            self.done.notify_all();
+        }
+    }
+
+    /// Render the document for `seq` and write each configured file
+    /// atomically. Returns the number of failed writes.
+    fn write_files(&self, seq: u64, scopes: &BTreeMap<String, ScopeCounters>) -> u64 {
+        let doc = render_document(seq, scopes);
+        let mut failed = 0;
+        if let Some(path) = &self.snapshot_path {
+            failed += u64::from(write_atomically(path, doc.to_string().as_bytes()).is_err());
         }
         if let Some(path) = &self.prom_path {
-            let text = render_prometheus(&rendered);
-            if write_atomically(path, text.as_bytes()).is_err() {
-                st.write_errors += 1;
-            }
+            let text = render_prometheus(&doc);
+            failed += u64::from(write_atomically(path, text.as_bytes()).is_err());
         }
+        failed
     }
+}
 
-    /// File writes that failed so far.
-    pub fn write_errors(&self) -> u64 {
-        self.state.lock().expect("snapshot bus poisoned").write_errors
-    }
+/// Marks the publisher stopped when its thread exits, normally or by
+/// panic, and wakes every barrier waiter so that none waits forever.
+struct PublisherStop<'a>(&'a Shared);
 
-    /// The current snapshot document (what the files contain).
-    pub fn document(&self) -> Json {
-        Self::render(&self.state.lock().expect("snapshot bus poisoned"))
-    }
-
-    fn render(st: &BusState) -> Json {
-        let mut doc = Json::object();
-        doc.set("schema", "fifoms-telemetry-snapshot-v1");
-        doc.set("seq", st.seq);
-        let mut scopes = Json::object();
-        for (scope, body) in &st.scopes {
-            scopes.set(scope, body.clone());
+impl Drop for PublisherStop<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        st.running = false;
+        if thread::panicking() {
+            st.write_errors += 1;
         }
-        doc.set("scopes", scopes);
-        doc
+        self.0.done.notify_all();
     }
+}
+
+/// The `fifoms-telemetry-snapshot-v1` document: the bus `seq`, then each
+/// scope in name order, tagged with the `seq` of its latest publication.
+fn render_document(seq: u64, scopes: &BTreeMap<String, ScopeCounters>) -> Json {
+    let mut doc = Json::object();
+    doc.set("schema", "fifoms-telemetry-snapshot-v1");
+    doc.set("seq", seq);
+    let scopes = scopes
+        .iter()
+        .map(|(name, counters)| {
+            let mut body = counters.to_json();
+            body.set("seq", counters.seq);
+            (name.clone(), body)
+        })
+        .collect();
+    doc.set("scopes", Json::Obj(scopes));
+    doc
 }
 
 /// Write `bytes` to `path` via a sibling `<path>.tmp` file and an atomic
@@ -1045,6 +1283,149 @@ mod tests {
         assert!(prom.contains("fifoms_run_complete{scope=\"FIFOMS@0.9\"} 1"));
         assert!(prom.contains("fifoms_admission_drops_total{scope=\"FIFOMS@0.9\",cause=\"tail_full\"} 0"));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh directory for one bus test.
+    fn bus_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("fifoms-bus-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Parse the snapshot file as it is on disk right now.
+    fn read_snapshot(path: &Path) -> Json {
+        Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    }
+
+    fn num(doc: &Json, path: &[&str]) -> Option<f64> {
+        let mut cur = doc;
+        for key in path {
+            cur = cur.get(key)?;
+        }
+        cur.as_f64()
+    }
+
+    #[test]
+    fn complete_publication_is_on_disk_when_publish_returns() {
+        let dir = bus_dir("complete");
+        let snap = dir.join("snap.json");
+        let bus = SnapshotBus::new(Some(snap.clone()), Some(dir.join("metrics.prom")));
+        let mut t = Telemetry::new(2, 1);
+        for slot in 1..=30u64 {
+            t.record_slot(1, 1, 1, 0, 0);
+            let _ = t.close_window(0);
+            bus.publish("cell", &t, false);
+            if slot % 10 == 0 {
+                bus.publish("cell", &t, true);
+                // No write_errors() first: the complete publication itself
+                // is the barrier.
+                let doc = read_snapshot(&snap);
+                let seq = (slot + slot / 10) as f64;
+                assert_eq!(num(&doc, &["seq"]), Some(seq));
+                assert_eq!(num(&doc, &["scopes", "cell", "seq"]), Some(seq));
+                assert_eq!(num(&doc, &["scopes", "cell", "slots"]), Some(slot as f64));
+                let scope = doc.get("scopes").and_then(|s| s.get("cell")).unwrap();
+                assert_eq!(scope.get("complete"), Some(&Json::Bool(true)));
+            }
+        }
+        assert_eq!(bus.write_errors(), 0);
+        drop(bus);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_publishers_coalesce_into_one_consistent_document() {
+        const THREADS: usize = 4;
+        const PUBLICATIONS: u64 = 200;
+        let dir = bus_dir("concurrent");
+        let snap = dir.join("snap.json");
+        let bus = SnapshotBus::new(Some(snap.clone()), Some(dir.join("metrics.prom")));
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for worker in 0..THREADS {
+                let (bus, start) = (&bus, &start);
+                s.spawn(move || {
+                    let scope = format!("worker-{worker}");
+                    let mut t = Telemetry::new(4, 1);
+                    start.wait();
+                    for _ in 0..PUBLICATIONS {
+                        t.record_slot(1, 2, 1, 0, 0);
+                        let _ = t.close_window(0);
+                        bus.publish(&scope, &t, false);
+                    }
+                });
+            }
+        });
+        assert_eq!(bus.write_errors(), 0);
+        let doc = read_snapshot(&snap);
+        assert_eq!(
+            num(&doc, &["seq"]),
+            Some((THREADS as u64 * PUBLICATIONS) as f64)
+        );
+        let Some(Json::Obj(scopes)) = doc.get("scopes") else {
+            panic!("scopes is an object");
+        };
+        assert_eq!(scopes.len(), THREADS);
+        let mut scope_seqs = Vec::new();
+        for worker in 0..THREADS {
+            let name = format!("worker-{worker}");
+            assert_eq!(
+                num(&doc, &["scopes", &name, "slots"]),
+                Some(PUBLICATIONS as f64),
+                "{name} holds its final state"
+            );
+            scope_seqs.push(num(&doc, &["scopes", &name, "seq"]).unwrap() as u64);
+        }
+        // Each scope keeps the seq of its own latest publication: distinct
+        // across scopes, and the last of them is the bus's last.
+        scope_seqs.sort_unstable();
+        scope_seqs.dedup();
+        assert_eq!(scope_seqs.len(), THREADS, "per-scope seqs {scope_seqs:?}");
+        assert_eq!(scope_seqs.last(), Some(&(THREADS as u64 * PUBLICATIONS)));
+        drop(bus);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unwritable_paths_count_errors_and_never_hang() {
+        let missing = std::env::temp_dir()
+            .join(format!("fifoms-bus-missing-{}", std::process::id()))
+            .join("no-such-dir");
+        let bus = SnapshotBus::new(
+            Some(missing.join("snap.json")),
+            Some(missing.join("m.prom")),
+        );
+        let mut t = Telemetry::new(2, 1);
+        t.record_slot(1, 1, 1, 0, 0);
+        let _ = t.close_window(0);
+        bus.publish("cell", &t, false);
+        bus.publish("cell", &t, true);
+        let errors = bus.write_errors();
+        assert!(errors > 0, "writes into a missing directory must fail");
+        bus.publish("cell", &t, true);
+        assert!(bus.write_errors() > errors, "every failed write is counted");
+        assert!(!missing.exists());
+    }
+
+    #[test]
+    fn dropping_the_bus_writes_the_pending_publication() {
+        let dir = bus_dir("drop");
+        let snap = dir.join("snap.json");
+        let bus = SnapshotBus::new(Some(snap.clone()), None);
+        let mut t = Telemetry::new(2, 1);
+        for _ in 0..100 {
+            t.record_slot(1, 1, 1, 0, 0);
+            let _ = t.close_window(0);
+            bus.publish("cell", &t, false);
+        }
+        drop(bus);
+        let doc = read_snapshot(&snap);
+        assert_eq!(num(&doc, &["seq"]), Some(100.0));
+        assert_eq!(num(&doc, &["scopes", "cell", "slots"]), Some(100.0));
+        let scope = doc.get("scopes").and_then(|s| s.get("cell")).unwrap();
+        assert_eq!(scope.get("complete"), Some(&Json::Bool(false)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -606,9 +606,10 @@ impl TelemetryChannel<'_> {
     /// Fold one executed slot into the current window. On a full stride
     /// the window closes: the quarantine view is refreshed from
     /// `switch`, the summary goes to the series sink and the snapshot is
-    /// published. All counter updates are integer field writes, and
-    /// `paths` is reserved to N×N up front, so the only heap work is the
-    /// opted-in snapshot publication.
+    /// published. All counter updates are integer field writes, `paths`
+    /// is reserved to N×N up front, and a publication only copies
+    /// counters into the bus's buffer, so nothing here allocates after
+    /// the first publication.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn end_slot(
         &mut self,

@@ -148,10 +148,14 @@ impl CheckpointStore {
 /// Append-side handle on the arrival WAL.
 ///
 /// Record layout: `u32 len | payload | u32 crc32(payload)`, all
-/// little-endian, flushed per record so the log survives the process.
+/// little-endian. Each record is encoded into one reused buffer and
+/// handed to the kernel with a single write, so the log survives the
+/// process.
 pub struct WalWriter {
     file: fs::File,
     path: PathBuf,
+    /// The record being encoded; kept between appends for its capacity.
+    record: Vec<u8>,
 }
 
 impl WalWriter {
@@ -167,12 +171,16 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
+            record: Vec::new(),
         })
     }
 
     /// Append one slot's arrival vector.
     pub fn append(&mut self, slot: u64, arrivals: &[Option<PortSet>]) -> Result<(), SimError> {
-        let mut w = StateWriter::new();
+        // Encode the record in place: a length placeholder, the payload,
+        // then the real length and the CRC.
+        let mut w = StateWriter::reusing(std::mem::take(&mut self.record));
+        w.put_u32(0);
         w.put_u64(slot);
         w.put_usize(arrivals.len());
         for a in arrivals {
@@ -184,15 +192,18 @@ impl WalWriter {
                 None => w.put_bool(false),
             }
         }
-        let payload = w.into_bytes();
-        let mut record = Vec::with_capacity(payload.len() + 8);
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.file
+        let mut record = w.into_bytes();
+        let payload_len = (record.len() - 4) as u32;
+        record[..4].copy_from_slice(&payload_len.to_le_bytes());
+        let crc = crc32(&record[4..]);
+        record.extend_from_slice(&crc.to_le_bytes());
+        let written = self
+            .file
             .write_all(&record)
             .and_then(|()| self.file.flush())
-            .map_err(|e| io_recovery(&self.path, "append WAL", e))
+            .map_err(|e| io_recovery(&self.path, "append WAL", e));
+        self.record = record;
+        written
     }
 
     /// Discard every record (called when a checkpoint supersedes them).
@@ -810,6 +821,29 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn wal_record_bytes_are_pinned() {
+        // Two records as the per-append-allocating encoder wrote them; the
+        // second is shorter than the first, so a reused buffer that kept
+        // stale bytes would show.
+        const PINNED: &str = "2800000007000000000000000800000000000000000001020000000100030000\
+                              000102000000040006000000022c73ee24000000010000000000000008000000\
+                              000000000000010100000003000000010100000006000000c5d4edd9";
+        let dir = test_dir("wal-bytes");
+        let path = dir.join("arrivals.wal");
+        let mut w = WalWriter::open(&path).expect("open");
+        w.append(7, &some_arrivals(8, 7)).expect("append");
+        w.append(1, &some_arrivals(8, 1)).expect("append");
+        drop(w);
+        let hex: String = fs::read(&path)
+            .expect("read")
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, PINNED);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -46,6 +46,9 @@
 #      schema-validated record-by-record and the snapshot rendered by
 #      `fifoms-repro top --once` (the consumer path: the snapshot is
 #      validated against schemas/snapshot.schema.json before rendering);
+#      the final snapshot of the 4-thread sweep must mark every scope
+#      complete: every completing publication reached the file before
+#      the command exited;
 #  13. a kill-and-recover smoke: `serve --die-at-slot` crashes the first
 #      worker attempt mid-run, the supervisor restarts it from the
 #      newest checkpoint, and the recovered statistics line must equal
@@ -60,8 +63,11 @@
 #      workloads, so an API or behaviour break fails here rather than
 #      only in the benchmark pipeline. Each workload runs for one second
 #      and must report "correct":true with zero failed checks, and the
-#      self-test must catch its planted sabotage. The build goes to a
-#      temporary target directory so nothing under layerbench/ is written.
+#      self-test must catch its planted sabotage. campaign-n8 also runs
+#      once traced, because only the traced run costs the end state by
+#      calling SnapshotBus::publish, WalWriter::append and
+#      CheckpointStore::save directly. The build goes to a temporary
+#      target directory so nothing under layerbench/ is written.
 #
 # Run from anywhere inside the repository.
 
@@ -141,6 +147,11 @@ cargo run --release --quiet -p fifoms-cli -- sweep --quick --n 8 --points 2 \
   --prom-out "$tmp/metrics.prom" --window 200
 grep -q '"schema":"fifoms-timeseries-v1"' "$tmp/ts.jsonl"
 grep -q 'fifoms_slots_total' "$tmp/metrics.prom"
+# `set -e` ignores a negated command's status, so test it explicitly.
+if grep -q '"complete":false' "$tmp/snap.json"; then
+  echo "final snapshot holds a scope not marked complete" >&2
+  exit 1
+fi
 cargo run --release --quiet -p fifoms-cli -- top "$tmp/snap.json" --once \
   --timeseries "$tmp/ts.jsonl" | tee "$tmp/top.txt"
 grep -q "window" "$tmp/top.txt"
@@ -171,6 +182,11 @@ for w in bernoulli-n64 burst-n16 campaign-n8; do
   grep -q '"correct":true' "$tmp/lb-$w.json"
   grep -q '"failed":0[,}]' "$tmp/lb-$w.json"
 done
+CARGO_TARGET_DIR="$tmp/layerbench" python3 layerbench/run.py \
+  --workload campaign-n8 --seed 1 --seconds 1 --trace 1 > "$tmp/lb-traced.txt"
+tail -n 1 "$tmp/lb-traced.txt" > "$tmp/lb-traced.json"
+grep -q '"correct":true' "$tmp/lb-traced.json"
+grep -q '"failed":0[,}]' "$tmp/lb-traced.json"
 # The self-test's stderr lists the checks its planted sabotage failed.
 CARGO_TARGET_DIR="$tmp/layerbench" python3 layerbench/run.py --self-test \
   > "$tmp/lb-self-test.txt" 2> "$tmp/lb-self-test.err"
