@@ -2,21 +2,20 @@
 //! FIFOMS vs iSLIP at three operating points and two switch sizes,
 //! emitted machine-readable.
 //!
-//! Unlike the criterion benches (`figures`, `schedulers`, ...), which
-//! print per-iteration medians for humans, this target writes
-//! `BENCH_core.json` (schema `schemas/bench_core.schema.json`) so CI and
-//! future perf PRs can diff slots/sec numerically. Each row carries its
-//! own `n` (the scaling axis: N = 16 and N = 64); the doc-level `n`
-//! stays at 16 for v1 consumers. Environment knobs:
+//! This target writes `BENCH_core.json` (schema
+//! `schemas/bench_core.schema.json`) so CI and future perf PRs can diff
+//! slots/sec numerically. Each row carries its own `n` (the scaling
+//! axis: N = 16 and N = 64); the doc-level `n` stays at 16 for v1
+//! consumers. Environment knobs:
 //!
 //! * `BENCH_SMOKE=1` — one short sample per cell (CI smoke mode);
 //! * `BENCH_CORE_OUT=<path>` — output path (default `BENCH_core.json`).
 //!
 //! Run with `cargo bench -p fifoms-bench --bench core`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::black_box;
 use fifoms_obs::Json;
 use fifoms_sim::{try_simulate, RunConfig, RunResult, SwitchKind, TrafficKind};
 

@@ -65,7 +65,7 @@ mod counting {
 /// Exits nonzero if either scheduler's measured window allocated.
 #[cfg(feature = "alloc-audit")]
 pub fn alloc_audit_cmd(opts: &Options) -> Result<(), SimError> {
-    use fifoms_sim::{alloc_audit, SwitchKind, TrafficKind};
+    use fifoms_sim::{alloc_audit, Observer, SwitchKind, TrafficKind};
 
     let warmup = (opts.slots / 2).max(1_000);
     let measure = warmup;
@@ -75,7 +75,14 @@ pub fn alloc_audit_cmd(opts: &Options) -> Result<(), SimError> {
         let mut sw = sk.build(opts.n, opts.seed);
         let mut tr = TrafficKind::bernoulli_at_load(0.6, 0.2, opts.n)
             .try_build(opts.n, opts.seed ^ 0xBEEF)?;
-        let report = alloc_audit(sw.as_mut(), tr.as_mut(), warmup, measure, &counter)?;
+        let report = alloc_audit(
+            sw.as_mut(),
+            tr.as_mut(),
+            warmup,
+            measure,
+            &counter,
+            &mut Observer::none(),
+        )?;
         println!(
             "alloc-audit: {} under {} — {} measured slots after {} warmup, \
              {} admitted, {} delivered",

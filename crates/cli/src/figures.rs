@@ -1,14 +1,16 @@
 //! One function per paper figure, plus extension experiments.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use fifoms_obs::{EventSink, Json, JsonlSink, MetricsRegistry, ProgressMeter};
 use fifoms_sim::report::{figure_table, sweep_csv, Metric};
 use fifoms_sim::{
-    CellOutcome, CellPolicy, FaultConfig, RunConfig, Sweep, SweepObserver, SweepRow, SwitchKind,
-    TrafficKind,
+    try_simulate_hooked, CellOutcome, CellPolicy, FaultConfig, Observer, RunConfig, SlotHook,
+    Sweep, SweepObserver, SweepRow, SwitchKind, TrafficKind,
 };
-use fifoms_types::SimError;
+use fifoms_stats::FairnessTracker;
+use fifoms_types::{SimError, Slot, SlotOutcome};
 
 use crate::args::Options;
 
@@ -321,8 +323,6 @@ pub fn scaling(opts: &Options) -> Result<(), SimError> {
 
 /// Extension: Jain fairness of per-input service under asymmetric demand.
 pub fn fairness(opts: &Options) -> Result<(), SimError> {
-    use fifoms_stats::FairnessTracker;
-    use fifoms_types::{Packet, PacketId, PortId, Slot};
     let n = opts.n;
     println!("\n=== Fairness: Jain index of per-input delivered copies (uniform multicast, load 0.9) ===");
     let mut table = fifoms_sim::report::Table::new(vec![
@@ -330,6 +330,14 @@ pub fn fairness(opts: &Options) -> Result<(), SimError> {
         "jain-index".to_string(),
         "max/min".to_string(),
     ]);
+    // The table compares service shares, so no backlog cap cuts a run
+    // short.
+    let cfg = RunConfig {
+        slots: opts.slots,
+        warmup: opts.slots / 2,
+        backlog_cap: usize::MAX,
+        sample_every: 100,
+    };
     for sk in [
         SwitchKind::Fifoms,
         SwitchKind::Tatra,
@@ -340,33 +348,43 @@ pub fn fairness(opts: &Options) -> Result<(), SimError> {
     ] {
         let mut sw = sk.build(n, opts.seed);
         let mut tr = TrafficKind::bernoulli_at_load(0.9, 0.2, n).build(n, opts.seed ^ 0xF00D);
-        let mut tracker = FairnessTracker::new(n);
-        let mut arrivals = Vec::new();
-        let mut id = 0u64;
-        for t in 0..opts.slots {
-            let now = Slot(t);
-            tr.next_slot(now, &mut arrivals);
-            for (input, dests) in arrivals.iter_mut().enumerate() {
-                if let Some(d) = dests.take() {
-                    id += 1;
-                    sw.admit(Packet::new(PacketId(id), now, PortId::new(input), d));
-                }
-            }
-            for d in &sw.run_slot(now).departures {
-                if t >= opts.slots / 2 {
-                    tracker.record(d.input.index(), 1);
-                }
-            }
-        }
+        let mut hook = FairnessHook {
+            tracker: FairnessTracker::new(n),
+            warmup: cfg.warmup,
+        };
+        try_simulate_hooked(
+            sw.as_mut(),
+            tr.as_mut(),
+            &cfg,
+            &mut Observer::none(),
+            &mut hook,
+        )?;
         table.push_row(vec![
             sk.label(),
-            format!("{:.5}", tracker.jain_index()),
-            format!("{:.3}", tracker.max_min_ratio()),
+            format!("{:.5}", hook.tracker.jain_index()),
+            format!("{:.3}", hook.tracker.max_min_ratio()),
         ]);
     }
     print!("{}", table.render());
     println!("(1.0 = perfectly equal service across inputs)");
     Ok(())
+}
+
+/// Counts each input's delivered copies after warmup.
+struct FairnessHook {
+    tracker: FairnessTracker,
+    warmup: u64,
+}
+
+impl<S: ?Sized> SlotHook<S> for FairnessHook {
+    fn after_slot(&mut self, _: &mut S, now: Slot, outcome: &SlotOutcome) -> ControlFlow<()> {
+        if now.0 >= self.warmup {
+            for d in &outcome.departures {
+                self.tracker.record(d.input.index(), 1);
+            }
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// Extension: the §I claim that output queueing needs internal speedup N —

@@ -2,10 +2,9 @@
 //! and compare schedulers on identical recorded arrivals.
 
 use fifoms_sim::report::Table;
-use fifoms_sim::SwitchKind;
-use fifoms_stats::DelayStats;
-use fifoms_traffic::{Trace, TraceSource, TrafficModel};
-use fifoms_types::{Packet, PacketId, PortId, SimError, Slot};
+use fifoms_sim::{try_simulate_hooked, Observer, RunConfig, RunResult, SlotHook, SwitchKind};
+use fifoms_traffic::{Trace, TraceSource};
+use fifoms_types::SimError;
 
 use crate::args::Options;
 
@@ -62,13 +61,13 @@ pub fn replay(opts: &Options) -> Result<(), SimError> {
         "drain-slot",
     ]);
     for sk in SwitchKind::paper_set() {
-        let (delay, drained) = replay_one(&trace, sk, opts.seed);
+        let r = replay_one(&trace, sk, opts.seed)?;
         table.push_row(vec![
             sk.label(),
-            format!("{:.3}", delay.mean_input_oriented()),
-            format!("{:.3}", delay.mean_output_oriented()),
-            format!("{}", delay.delivered_copies()),
-            format!("{drained}"),
+            format!("{:.3}", r.delay.mean_input_oriented),
+            format!("{:.3}", r.delay.mean_output_oriented),
+            format!("{}", r.delay.delivered_copies),
+            format!("{}", r.slots_run),
         ]);
     }
     print!("{}", table.render());
@@ -76,34 +75,40 @@ pub fn replay(opts: &Options) -> Result<(), SimError> {
     Ok(())
 }
 
-fn replay_one(trace: &Trace, sk: SwitchKind, seed: u64) -> (DelayStats, u64) {
+/// Slots a replay's drain phase may pass without the backlog falling
+/// before the scheduler is declared unable to drain the trace.
+const REPLAY_STALL_WINDOW: u64 = 10_000;
+
+/// Run the trace's arrivals through `sk`, then drain it: delays count
+/// from slot 0, and `slots_run` is the first slot at or after the trace's
+/// end with an empty backlog.
+fn replay_one(trace: &Trace, sk: SwitchKind, seed: u64) -> Result<RunResult, SimError> {
     let mut sw = sk.build(trace.ports(), seed);
     let mut src = TraceSource::new(trace.clone());
-    let mut arrivals = Vec::new();
-    let mut delay = DelayStats::new();
-    let mut id = 0u64;
-    let mut t = 0u64;
-    loop {
-        let now = Slot(t);
-        src.next_slot(now, &mut arrivals);
-        for (input, dests) in arrivals.iter_mut().enumerate() {
-            if let Some(d) = dests.take() {
-                id += 1;
-                sw.admit(Packet::new(PacketId(id), now, PortId::new(input), d));
-            }
-        }
-        for d in &sw.run_slot(now).departures {
-            delay.record_copy(d.delay(now), d.last_copy);
-        }
-        t += 1;
-        if t >= trace.len_slots() && sw.backlog().is_empty() {
-            break;
-        }
-        assert!(
-            t < trace.len_slots() + 10_000_000,
-            "{} failed to drain the trace",
-            sw.name()
-        );
+    let cfg = RunConfig {
+        slots: trace.len_slots().max(1),
+        warmup: 0,
+        backlog_cap: usize::MAX,
+        sample_every: 100,
+    };
+    let mut obs = Observer::none();
+    let result = try_simulate_hooked(sw.as_mut(), &mut src, &cfg, &mut obs, &mut Drain)?;
+    if !sw.backlog().is_empty() {
+        return Err(SimError::Usage(format!(
+            "{} failed to drain the trace: {} copies still queued after {REPLAY_STALL_WINDOW} \
+             slots without progress",
+            sw.name(),
+            sw.backlog().copies
+        )));
     }
-    (delay, t)
+    Ok(result)
+}
+
+/// A replay's hook: only the drain phase.
+struct Drain;
+
+impl<S: ?Sized> SlotHook<S> for Drain {
+    fn drain_window(&self) -> Option<u64> {
+        Some(REPLAY_STALL_WINDOW)
+    }
 }

@@ -1,8 +1,9 @@
 //! Hierarchical span profiler: wall-clock attribution of engine phases
 //! and their nested sub-phases.
 //!
-//! The engine's slot loop has four phases — traffic generation, admission,
-//! scheduling (the switch's `run_slot`), and statistics — and the `profile`
+//! The engine's slot loop has four core phases — traffic generation,
+//! admission, scheduling (the switch's `run_slot`), and statistics, plus
+//! persistence and observation when those are attached — and the `profile`
 //! subcommand wants to know where the time goes *inside* them as well:
 //! the schedule phase decomposes into VOQ scanning, request building,
 //! grant arbitration and commit. [`PhaseProfiler`] keeps a span stack and

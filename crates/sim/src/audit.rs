@@ -1,12 +1,11 @@
 //! Steady-state allocation audit: does the slot loop touch the heap?
 //!
 //! The hot path's performance story (DESIGN.md §13) rests on a claim the
-//! span profiler cannot prove: after warmup, a slot of `traffic → admit →
-//! run_slot → stats` performs **zero** heap allocations. [`alloc_audit`]
-//! proves it by driving the engine's exact per-slot protocol — including
-//! the departure scan, the queue-size sample into a reused buffer, and
-//! [`Switch::recycle`] — while reading a caller-supplied monotonic
-//! allocation counter around each phase.
+//! span profiler cannot prove: after warmup, a slot performs **zero**
+//! heap allocations. [`alloc_audit`] proves it for the loop production
+//! runs use: it runs the engine itself, with the caller's [`Observer`]
+//! attached, and its [`SlotHook`] reads a caller-supplied monotonic
+//! allocation counter at every phase boundary the engine marks.
 //!
 //! The counter is abstract (`&dyn Fn() -> u64`) so this crate stays free
 //! of `unsafe`: the real counting [`GlobalAlloc`](std::alloc::GlobalAlloc)
@@ -16,10 +15,19 @@
 //! buffers to steady-state size is exactly the amortization the audit is
 //! meant to separate from per-slot cost.
 
+use std::ops::ControlFlow;
+
 use fifoms_fabric::Switch;
 use fifoms_obs::Json;
 use fifoms_traffic::TrafficModel;
-use fifoms_types::{Packet, PacketId, PortId, SimError, Slot};
+use fifoms_types::{SimError, Slot, SlotOutcome};
+
+use crate::engine::{try_simulate_hooked, Observer, RunConfig, SlotHook};
+
+/// The engine's phases in slot order, as the audit reports them.
+const PHASES: [&str; 6] = [
+    "persist", "traffic", "admit", "schedule", "stats", "observe",
+];
 
 /// Per-phase allocation tallies over the measured window of one audit run.
 #[derive(Clone, Debug)]
@@ -33,12 +41,15 @@ pub struct AllocAuditReport {
     /// Slots whose allocations were counted.
     pub measured_slots: u64,
     /// Allocations attributed to each engine phase over the measured
-    /// window, in engine order: `traffic`, `admit`, `schedule`, `stats`.
-    pub phase_allocs: [(&'static str, u64); 4],
+    /// window, in engine order: `persist`, `traffic`, `admit`,
+    /// `schedule`, `stats`, `observe`. An audit never attaches recovery,
+    /// so `persist` stays 0; `observe` counts only when the observer has
+    /// a sink or telemetry attached.
+    pub phase_allocs: [(&'static str, u64); 6],
     /// Packets admitted over the whole run (keeps the workload honest —
     /// an idle audit proves nothing).
     pub packets_admitted: u64,
-    /// Copies delivered over the whole run, same role as
+    /// Copies delivered in the measured window, same role as
     /// `packets_admitted`.
     pub copies_delivered: u64,
 }
@@ -90,97 +101,95 @@ impl AllocAuditReport {
 /// pre-reserved memory linear in `N`.
 pub const AUDIT_RESERVE_PER_INPUT: usize = 4096;
 
-/// Drive `warmup + measure` slots of the engine protocol against
-/// `(switch, traffic)`, attributing allocation-counter deltas of the last
-/// `measure` slots to the four engine phases. Internal queues are
+/// Run `warmup + measure` slots of `(switch, traffic)` through the engine
+/// under [`RunConfig::paper`] with `warmup` as its statistics warmup and
+/// `obs` attached, attributing allocation-counter deltas of the last
+/// `measure` slots to the engine's phases. Internal queues are
 /// pre-reserved for [`AUDIT_RESERVE_PER_INPUT`] copies per input port
 /// before slot 0.
 ///
 /// `counter` must be monotonically non-decreasing and count allocation
-/// *events* (not bytes); it is read twice per phase per measured slot.
+/// *events* (not bytes); it is read at every phase entry and at the end
+/// of every slot.
 pub fn alloc_audit(
     switch: &mut dyn Switch,
     traffic: &mut dyn TrafficModel,
     warmup: u64,
     measure: u64,
     counter: &dyn Fn() -> u64,
+    obs: &mut Observer<'_>,
 ) -> Result<AllocAuditReport, SimError> {
-    if switch.ports() != traffic.ports() {
-        return Err(SimError::SizeMismatch {
-            switch_ports: switch.ports(),
-            traffic_ports: traffic.ports(),
-        });
-    }
     let n = switch.ports();
     switch.reserve_steady_state((AUDIT_RESERVE_PER_INPUT / n.max(1)).max(1));
-    let mut arrivals: Vec<Option<_>> = Vec::with_capacity(n);
-    let mut queue_buf: Vec<usize> = Vec::with_capacity(n);
-    let mut next_packet = 0u64;
-    let mut copies_delivered = 0u64;
-    // Mirrors the engine's post-warmup stats reads so the audited loop has
-    // the same allocation profile; folding them into a live sum keeps the
-    // reads from being dead code.
-    let mut stats_checksum = 0u64;
-    let mut phase_allocs = [("traffic", 0u64), ("admit", 0), ("schedule", 0), ("stats", 0)];
-
-    let mut lap = |measured: bool, phase: usize, before: u64, counter: &dyn Fn() -> u64| {
-        if measured {
-            phase_allocs[phase].1 += counter().saturating_sub(before);
-        }
+    let cfg = RunConfig {
+        warmup,
+        ..RunConfig::paper(warmup + measure)
     };
-
-    for t in 0..warmup + measure {
-        let now = Slot(t);
-        let measured = t >= warmup;
-
-        let before = counter();
-        traffic.next_slot(now, &mut arrivals);
-        lap(measured, 0, before, counter);
-
-        let before = counter();
-        for (input, dests) in arrivals.iter_mut().enumerate() {
-            if let Some(dests) = dests.take() {
-                next_packet += 1;
-                switch.admit(Packet::new(
-                    PacketId(next_packet),
-                    now,
-                    PortId::new(input),
-                    dests,
-                ));
-            }
-        }
-        lap(measured, 1, before, counter);
-
-        let before = counter();
-        let outcome = switch.run_slot(now);
-        lap(measured, 2, before, counter);
-
-        let before = counter();
-        for d in &outcome.departures {
-            stats_checksum = stats_checksum.wrapping_add(d.delay(now) + d.last_copy as u64);
-        }
-        copies_delivered += outcome.departures.len() as u64;
-        switch.queue_sizes(&mut queue_buf);
-        for q in &queue_buf {
-            stats_checksum = stats_checksum.wrapping_add(*q as u64);
-        }
-        stats_checksum = stats_checksum.wrapping_add(switch.backlog().copies as u64);
-        switch.recycle(outcome);
-        lap(measured, 3, before, counter);
+    let mut hook = AllocCounter {
+        counter,
+        warmup,
+        measuring: warmup == 0,
+        open: None,
+        last: 0,
+        allocs: [0; PHASES.len()],
+    };
+    let result = try_simulate_hooked(switch, traffic, &cfg, obs, &mut hook)?;
+    let mut phase_allocs = PHASES.map(|phase| (phase, 0));
+    for (row, allocs) in phase_allocs.iter_mut().zip(hook.allocs) {
+        row.1 = allocs;
     }
-    // The checksum's value is irrelevant; consuming it pins the stats
-    // reads above into the audited build.
-    std::hint::black_box(stats_checksum);
-
     Ok(AllocAuditReport {
-        switch_name: switch.name(),
-        traffic_name: traffic.name(),
+        switch_name: result.switch_name,
+        traffic_name: result.traffic_name,
         warmup_slots: warmup,
-        measured_slots: measure,
+        measured_slots: result.slots_run.saturating_sub(warmup),
         phase_allocs,
-        packets_admitted: next_packet,
-        copies_delivered,
+        packets_admitted: result.packets_admitted,
+        copies_delivered: result.copies_delivered,
     })
+}
+
+/// The audit's hook. Each reading closes the phase that was open, so the
+/// counter's whole movement between the first phase entry of a measured
+/// slot and the end of the run is attributed — including the engine's
+/// glue between phases, which lands on the phase before it.
+struct AllocCounter<'a> {
+    counter: &'a dyn Fn() -> u64,
+    warmup: u64,
+    measuring: bool,
+    open: Option<usize>,
+    last: u64,
+    allocs: [u64; PHASES.len()],
+}
+
+impl AllocCounter<'_> {
+    fn lap(&mut self) {
+        let now = (self.counter)();
+        if let (true, Some(phase)) = (self.measuring, self.open) {
+            self.allocs[phase] += now.saturating_sub(self.last);
+        }
+        self.last = now;
+    }
+}
+
+impl<S: ?Sized> SlotHook<S> for AllocCounter<'_> {
+    fn phase(&mut self, name: &'static str, enter: bool) {
+        if enter {
+            self.lap();
+            self.open = PHASES.iter().position(|p| *p == name);
+        }
+    }
+
+    fn after_slot(
+        &mut self,
+        _switch: &mut S,
+        now: Slot,
+        _outcome: &SlotOutcome,
+    ) -> ControlFlow<()> {
+        self.lap();
+        self.measuring = now.0 + 1 >= self.warmup;
+        ControlFlow::Continue(())
+    }
 }
 
 #[cfg(test)]
@@ -193,8 +202,15 @@ mod tests {
     fn constant_counter_reports_clean() {
         let mut sw = SwitchKind::Fifoms.build(8, 1);
         let mut tr = TrafficKind::bernoulli_at_load(0.5, 0.25, 8).build(8, 2);
-        let report =
-            alloc_audit(sw.as_mut(), tr.as_mut(), 500, 500, &|| 0).unwrap();
+        let report = alloc_audit(
+            sw.as_mut(),
+            tr.as_mut(),
+            500,
+            500,
+            &|| 0,
+            &mut Observer::none(),
+        )
+        .unwrap();
         assert!(report.is_clean());
         assert_eq!(report.total_allocs(), 0);
         assert!(report.packets_admitted > 0, "audit must exercise real load");
@@ -202,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn advancing_counter_attributes_to_every_phase() {
+    fn advancing_counter_attributes_to_every_phase_the_run_enters() {
         let ticks = Cell::new(0u64);
         let counter = || {
             ticks.set(ticks.get() + 1);
@@ -210,11 +226,47 @@ mod tests {
         };
         let mut sw = SwitchKind::Fifoms.build(4, 1);
         let mut tr = TrafficKind::bernoulli_at_load(0.3, 0.5, 4).build(4, 2);
-        let report = alloc_audit(sw.as_mut(), tr.as_mut(), 10, 10, &counter).unwrap();
+        let report = alloc_audit(
+            sw.as_mut(),
+            tr.as_mut(),
+            10,
+            10,
+            &counter,
+            &mut Observer::none(),
+        )
+        .unwrap();
         assert!(!report.is_clean());
         for (phase, allocs) in report.phase_allocs {
-            assert!(allocs > 0, "phase {phase} saw no counter movement");
+            // An unobserved run without recovery never enters these two.
+            let entered = !matches!(phase, "persist" | "observe");
+            assert_eq!(
+                allocs > 0,
+                entered,
+                "phase {phase}: {:?}",
+                report.phase_allocs
+            );
         }
+
+        // With telemetry attached the observe phase runs and is counted.
+        let mut sw = SwitchKind::Fifoms.build(4, 1);
+        let mut tr = TrafficKind::bernoulli_at_load(0.3, 0.5, 4).build(4, 2);
+        let mut telemetry = fifoms_obs::Telemetry::new(4, 5);
+        let mut obs = Observer {
+            sink: None,
+            profiler: None,
+            telemetry: Some(crate::TelemetryChannel {
+                telemetry: &mut telemetry,
+                series: None,
+                bus: None,
+            }),
+        };
+        let report = alloc_audit(sw.as_mut(), tr.as_mut(), 10, 10, &counter, &mut obs).unwrap();
+        let observe = report.phase_allocs.iter().find(|(p, _)| *p == "observe");
+        assert!(
+            observe.is_some_and(|(_, allocs)| *allocs > 0),
+            "{:?}",
+            report.phase_allocs
+        );
     }
 
     #[test]
@@ -232,9 +284,18 @@ mod tests {
         };
         let mut sw = SwitchKind::Fifoms.build(4, 1);
         let mut tr = TrafficKind::bernoulli_at_load(0.3, 0.5, 4).build(4, 2);
-        // 5 warmup slots * 8 counter reads = 40 calls > 20, so all
-        // movement lands inside warmup.
-        let report = alloc_audit(sw.as_mut(), tr.as_mut(), 5, 50, &counter).unwrap();
+        // 5 warmup slots * 5 counter reads (four phase entries and the
+        // end of the slot) = 25 calls > 20, so all movement lands inside
+        // warmup.
+        let report = alloc_audit(
+            sw.as_mut(),
+            tr.as_mut(),
+            5,
+            50,
+            &counter,
+            &mut Observer::none(),
+        )
+        .unwrap();
         assert!(report.is_clean(), "warmup allocations must not count");
     }
 
@@ -242,7 +303,15 @@ mod tests {
     fn size_mismatch_is_an_error() {
         let mut sw = SwitchKind::Fifoms.build(4, 1);
         let mut tr = TrafficKind::bernoulli_at_load(0.3, 0.5, 8).build(8, 2);
-        let e = alloc_audit(sw.as_mut(), tr.as_mut(), 10, 10, &|| 0).unwrap_err();
+        let e = alloc_audit(
+            sw.as_mut(),
+            tr.as_mut(),
+            10,
+            10,
+            &|| 0,
+            &mut Observer::none(),
+        )
+        .unwrap_err();
         assert!(matches!(e, SimError::SizeMismatch { .. }));
     }
 
@@ -250,7 +319,15 @@ mod tests {
     fn json_report_shape() {
         let mut sw = SwitchKind::Islip(None).build(4, 1);
         let mut tr = TrafficKind::bernoulli_at_load(0.2, 0.5, 4).build(4, 2);
-        let report = alloc_audit(sw.as_mut(), tr.as_mut(), 100, 100, &|| 0).unwrap();
+        let report = alloc_audit(
+            sw.as_mut(),
+            tr.as_mut(),
+            100,
+            100,
+            &|| 0,
+            &mut Observer::none(),
+        )
+        .unwrap();
         let doc = report.to_json();
         let text = doc.to_string();
         assert!(text.contains("fifoms-alloc-audit-v1"));

@@ -4,11 +4,13 @@
 //! fault schedule plus a workload — through the fully armoured stack
 //! `CheckedSwitch<FaultyFabric<MulticastVoqSwitch>>` (the checker is
 //! *outside* the fault layer, so every invariant is enforced on the
-//! post-fault view the rest of the system actually sees). Each run
-//! records recovery metrics (time-to-recover, loss counts, scoreboard
-//! accuracy) into a [`RecoveryRecorder`] from the `copy_killed` /
-//! `copy_recovered` observability events, and verifies the egress
-//! conservation law
+//! post-fault view the rest of the system actually sees). Each run goes
+//! through the engine's slot loop: a [`SlotHook`] adds the drain phase,
+//! the ledger drains, the scoreboard audit and the stop on the first
+//! violation. Each run records recovery metrics (time-to-recover, loss
+//! counts, scoreboard accuracy) into a [`RecoveryRecorder`] from the
+//! `copy_killed` / `copy_recovered` observability events, and verifies
+//! the egress conservation law
 //!
 //! ```text
 //! admitted copies == delivered + reconciled drops + backlog
@@ -20,17 +22,20 @@
 //! time, down to a minimal reproducer that prints as a ready-to-run
 //! `fifoms-repro chaos --scenario ...` invocation.
 
+use std::ops::ControlFlow;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use fifoms_core::{AdmissionPolicy, BufferConfig, MulticastVoqSwitch};
 use fifoms_fabric::{CheckedSwitch, FaultConfig, FaultMode, FaultStats, FaultyFabric, Switch};
+use fifoms_obs::EventSink;
 use fifoms_stats::{RecoveryRecorder, RecoverySummary};
 use fifoms_types::{
-    splitmix64, AdmissionDrop, DroppedCopy, ObsEvent, Packet, PacketId, PortId, SimError, Slot,
-    SpanTimer, SPLITMIX64_GAMMA,
+    splitmix64, AdmissionDrop, DroppedCopy, ObsEvent, PortId, SimError, Slot, SlotOutcome,
+    SPLITMIX64_GAMMA,
 };
 
-use crate::engine::TelemetrySpec;
+use crate::engine::{try_simulate_hooked, Observer, RunConfig, SlotHook, TelemetrySpec};
 use crate::guard::guarded;
 use crate::spec::TrafficKind;
 
@@ -352,11 +357,14 @@ pub fn run_scenario_on<S: Switch>(sc: &ChaosScenario, core: S) -> ChaosOutcome {
     drive::<S>(sc, core, None, None)
 }
 
-#[allow(clippy::type_complexity)]
+/// Ground truth for the scoreboard audit: whether the core has path
+/// `(input, output)` quarantined at `now`.
+type ScoreboardProbe<'a, S> = &'a dyn Fn(&S, PortId, PortId, Slot) -> bool;
+
 fn drive<S: Switch>(
     sc: &ChaosScenario,
     core: S,
-    audit: Option<&dyn Fn(&S, PortId, PortId, Slot) -> bool>,
+    audit: Option<ScoreboardProbe<'_, S>>,
     telemetry: Option<(&TelemetrySpec, &str)>,
 ) -> ChaosOutcome {
     debug_assert!(sc.validate().is_ok(), "unvalidated scenario: {sc:?}");
@@ -368,158 +376,37 @@ fn drive<S: Switch>(
     let mut traffic = TrafficKind::bernoulli_at_load(sc.load, CHAOS_B, sc.n)
         .build(sc.n, sc.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-    // Telemetry rides along through the engine's own channel: one window
-    // accumulator, a pre-sized path buffer so window closes never
-    // allocate, and the meta record announcing the stream's shape.
+    // The recorder folds the copy_killed / copy_recovered events the
+    // engine forwards; telemetry rides along through the engine's own
+    // channel when attached.
+    let events = RecoveryEvents(Mutex::new(RecoveryRecorder::new()));
     let mut tele = telemetry.map(|(spec, _)| spec.new_telemetry(sc.n));
-    let mut channel = match (telemetry, tele.as_mut()) {
-        (Some((spec, scope)), Some(t)) => Some(spec.channel(t, scope)),
-        _ => None,
+    let mut obs = Observer {
+        sink: Some((&events, "chaos")),
+        profiler: None,
+        telemetry: match (telemetry, tele.as_mut()) {
+            (Some((spec, scope)), Some(t)) => Some(spec.channel(t, scope)),
+            _ => None,
+        },
     };
-    let tele_active = channel.is_some();
-    let mut quarantine_buf: Vec<(PortId, PortId)> = Vec::new();
-    if let Some(tc) = channel.as_ref() {
-        quarantine_buf.reserve(sc.n * sc.n);
-        tc.begin();
-    }
-
-    let mut recorder = RecoveryRecorder::new();
-    let mut arrivals: Vec<Option<_>> = Vec::with_capacity(sc.n);
-    let mut events: Vec<ObsEvent> = Vec::new();
-    let mut drops: Vec<DroppedCopy> = Vec::new();
-    let mut adrops: Vec<AdmissionDrop> = Vec::new();
-    let mut next_packet = 0u64;
-    let mut reconciled_drops = 0u64;
-    let mut slots_run = 0u64;
-    // Deadlock detection for the drain phase. The backlog is
-    // non-increasing once admissions stop (a requeued copy stays in the
-    // count), so "no decrease across a full stall window" means no copy
-    // will ever move again. The window covers everything that can
-    // legitimately stall progress: a dead path gates each of its
-    // retry-budget+1 kill cycles behind a quarantine window before the
-    // re-probe, a flapped output is down for up to a period, and a
-    // transient crosspoint outage lasts `crosspoint_duration`. A
-    // deadline that resets on every backlog decrease lets a permanent
-    // fault serialize a deep VOQ through its kill/requeue cycles
-    // however long that takes, while a genuinely wedged switch is
-    // flagged after one quiet window.
-    let transient_outage = if sc.crosspoint_duration == u64::MAX {
-        0
-    } else {
-        sc.crosspoint_duration
+    let mut hook = ChaosHook {
+        stall_window: stall_window(sc),
+        audit,
+        recorder: &events.0,
+        drops: Vec::new(),
+        admission_drops: Vec::new(),
     };
-    let stall_window = (u64::from(sc.retry_budget) + 2) * sc.quarantine.max(1)
-        + sc.flap_period
-        + transient_outage
-        + 1_000;
-    let mut best_backlog = u64::MAX;
-    let mut deadline = sc.slots + stall_window;
-
-    let mut t = 0u64;
-    loop {
-        let now = Slot(t);
-        // Clocks are read only when telemetry is attached, so the plain
-        // chaos path stays untouched.
-        let tele_timer = tele_active.then(SpanTimer::start);
-        let admitted_before = next_packet;
-        if t < sc.slots {
-            traffic.next_slot(now, &mut arrivals);
-            for (input, dests) in arrivals.iter_mut().enumerate() {
-                if let Some(dests) = dests.take() {
-                    next_packet += 1;
-                    checked.admit(Packet::new(
-                        PacketId(next_packet),
-                        now,
-                        PortId::new(input),
-                        dests,
-                    ));
-                }
-            }
-        } else {
-            let copies = checked.backlog().copies as u64;
-            if copies == 0 {
-                break; // fully drained
-            }
-            if copies < best_backlog {
-                best_backlog = copies;
-                deadline = t + stall_window;
-            }
-            if t >= deadline {
-                break; // a full stall window without progress: deadlock
-            }
-        }
-        let sched_timer = tele_active.then(SpanTimer::start);
-        let outcome = checked.run_slot(now);
-        let sched_ns = sched_timer.map_or(0, |tm| tm.elapsed_ns());
-        slots_run = t + 1;
-
-        checked.drain_events(&mut events);
-        for e in events.drain(..) {
-            if let Some(tc) = channel.as_mut() {
-                tc.telemetry.observe_event(&e);
-            }
-            match e {
-                ObsEvent::CopyKilled { requeued, .. } => recorder.record_kill(requeued),
-                ObsEvent::CopyRecovered { kills, latency, .. } => {
-                    recorder.record_recovery(kills, latency)
-                }
-                _ => {}
-            }
-        }
-        checked.drain_reconciled_drops(&mut drops);
-        for _ in drops.drain(..) {
-            recorder.record_loss();
-            reconciled_drops += 1;
-        }
-        // Admission drops are per-copy records; draining every slot
-        // keeps the core's ledger bounded over long campaigns.
-        checked.drain_admission_drops(&mut adrops);
-        adrops.clear();
-
-        if let Some(audit) = audit {
-            if t % AUDIT_EVERY == AUDIT_EVERY - 1 {
-                let (mut hits, mut false_alarms, mut misses) = (0u64, 0u64, 0u64);
-                let fabric = checked.inner();
-                let core = fabric.inner();
-                for i in 0..sc.n {
-                    for o in 0..sc.n {
-                        let (i, o) = (PortId::new(i), PortId::new(o));
-                        let truth = fabric.path_down(i, o, now);
-                        let marked = audit(core, i, o, now);
-                        match (truth, marked) {
-                            (true, true) => hits += 1,
-                            (false, true) => false_alarms += 1,
-                            (true, false) => misses += 1,
-                            (false, false) => {}
-                        }
-                    }
-                }
-                recorder.record_scoreboard_audit(hits, false_alarms, misses);
-            }
-        }
-
-        if let Some(tc) = channel.as_mut() {
-            let wall_ns = tele_timer.map_or(0, |tm| tm.elapsed_ns());
-            tc.end_slot(
-                &checked,
-                now,
-                &outcome,
-                next_packet - admitted_before,
-                sched_ns,
-                wall_ns,
-                &mut quarantine_buf,
-            );
-        }
-
-        if checked.violation().is_some() {
-            break; // first violation ends the run; the scenario failed
-        }
-        t += 1;
-    }
-
-    if let Some(tc) = channel.as_mut() {
-        tc.end_run(&checked, slots_run, &mut quarantine_buf);
-    }
+    // No warmup and no backlog cap: a scenario runs every loaded slot,
+    // then drains.
+    let cfg = RunConfig {
+        slots: sc.slots,
+        warmup: 0,
+        backlog_cap: usize::MAX,
+        sample_every: 100,
+    };
+    let result = try_simulate_hooked(&mut checked, traffic.as_mut(), &cfg, &mut obs, &mut hook)
+        .expect("a validated scenario meets the engine's preconditions");
+    let recovery = lock(&events.0).summary();
 
     let backlog = checked.backlog();
     let admitted = checked.admitted_copies();
@@ -537,11 +424,120 @@ fn drive<S: Switch>(
             - backlog.copies as i64,
         admitted_copies: admitted,
         delivered_copies: delivered,
-        reconciled_drops,
+        // Every drained drop is recorded as one lost copy.
+        reconciled_drops: recovery.copies_lost,
         admission_drops,
-        recovery: recorder.summary(),
+        recovery,
         fault_stats: checked.inner().stats(),
-        slots_run,
+        slots_run: result.slots_run,
+    }
+}
+
+/// The drain phase's deadlock rule. The backlog is non-increasing once
+/// admissions stop (a requeued copy stays in the count), so "no decrease
+/// across a full stall window" means no copy will ever move again. The
+/// window covers everything that can legitimately stall progress: a dead
+/// path gates each of its retry-budget+1 kill cycles behind a quarantine
+/// window before the re-probe, a flapped output is down for up to a
+/// period, and a transient crosspoint outage lasts
+/// `crosspoint_duration`. A deadline that resets on every backlog
+/// decrease lets a permanent fault serialize a deep VOQ through its
+/// kill/requeue cycles however long that takes, while a genuinely wedged
+/// switch is flagged after one quiet window.
+fn stall_window(sc: &ChaosScenario) -> u64 {
+    let transient_outage = if sc.crosspoint_duration == u64::MAX {
+        0
+    } else {
+        sc.crosspoint_duration
+    };
+    (u64::from(sc.retry_budget) + 2) * sc.quarantine.max(1)
+        + sc.flap_period
+        + transient_outage
+        + 1_000
+}
+
+/// Folds the fault layer's recovery events into a [`RecoveryRecorder`].
+struct RecoveryEvents(Mutex<RecoveryRecorder>);
+
+impl EventSink for RecoveryEvents {
+    fn emit(&self, _scope: &str, event: &ObsEvent) {
+        match *event {
+            ObsEvent::CopyKilled { requeued, .. } => lock(&self.0).record_kill(requeued),
+            ObsEvent::CopyRecovered { kills, latency, .. } => {
+                lock(&self.0).record_recovery(kills, latency)
+            }
+            _ => {}
+        }
+    }
+}
+
+fn lock(recorder: &Mutex<RecoveryRecorder>) -> MutexGuard<'_, RecoveryRecorder> {
+    recorder.lock().expect("no lock holder panicked")
+}
+
+/// A chaos scenario's per-slot work on top of the engine: ledger drains,
+/// the scoreboard audit, the drain phase's stall window and the stop on
+/// the first invariant violation.
+struct ChaosHook<'a, S> {
+    stall_window: u64,
+    audit: Option<ScoreboardProbe<'a, S>>,
+    recorder: &'a Mutex<RecoveryRecorder>,
+    drops: Vec<DroppedCopy>,
+    admission_drops: Vec<AdmissionDrop>,
+}
+
+impl<S: Switch> SlotHook<CheckedSwitch<FaultyFabric<S>>> for ChaosHook<'_, S> {
+    fn drain_window(&self) -> Option<u64> {
+        Some(self.stall_window)
+    }
+
+    fn after_slot(
+        &mut self,
+        checked: &mut CheckedSwitch<FaultyFabric<S>>,
+        now: Slot,
+        _outcome: &SlotOutcome,
+    ) -> ControlFlow<()> {
+        checked.drain_reconciled_drops(&mut self.drops);
+        if !self.drops.is_empty() {
+            let mut recorder = lock(self.recorder);
+            for _ in self.drops.drain(..) {
+                recorder.record_loss();
+            }
+        }
+        // Admission drops are per-copy records; draining every slot
+        // keeps the core's ledger bounded over long campaigns.
+        checked.drain_admission_drops(&mut self.admission_drops);
+        self.admission_drops.clear();
+
+        if let Some(audit) = self.audit {
+            if now.0 % AUDIT_EVERY == AUDIT_EVERY - 1 {
+                let (mut hits, mut false_alarms, mut misses) = (0u64, 0u64, 0u64);
+                let n = checked.ports();
+                let fabric = checked.inner();
+                let core = fabric.inner();
+                for i in 0..n {
+                    for o in 0..n {
+                        let (i, o) = (PortId::new(i), PortId::new(o));
+                        let truth = fabric.path_down(i, o, now);
+                        let marked = audit(core, i, o, now);
+                        match (truth, marked) {
+                            (true, true) => hits += 1,
+                            (false, true) => false_alarms += 1,
+                            (true, false) => misses += 1,
+                            (false, false) => {}
+                        }
+                    }
+                }
+                lock(self.recorder).record_scoreboard_audit(hits, false_alarms, misses);
+            }
+        }
+
+        // The first violation ends the run; the scenario failed.
+        if checked.violation().is_some() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
 }
 
@@ -928,7 +924,9 @@ fn run_corruption_cell(
 mod tests {
     use super::*;
     use fifoms_fabric::Backlog;
-    use fifoms_types::SlotOutcome;
+    use fifoms_obs::RecordingSink;
+    use fifoms_types::Packet;
+    use std::sync::Arc;
 
     #[test]
     fn scenario_spec_roundtrips() {
@@ -1018,6 +1016,45 @@ mod tests {
             "conservation with drops"
         );
         assert!(out.recovery.copies_lost > 0);
+    }
+
+    #[test]
+    fn telemetry_is_read_only_and_its_windows_sum_to_the_outcome() {
+        // chaos#0 of `fifoms-repro chaos --smoke --seed 2026`.
+        let sc = campaign_scenarios(2026, 1, true)[0];
+        let plain = run_scenario(&sc);
+        let series = Arc::new(RecordingSink::new());
+        let spec = TelemetrySpec {
+            series: Some(series.clone()),
+            bus: None,
+            window: 200,
+        };
+        let observed = run_scenario_observed(&sc, Some(&spec), "chaos#0");
+        assert_eq!(format!("{plain:?}"), format!("{observed:?}"));
+
+        let (mut delivered, mut kills, mut recoveries) = (0u64, 0u64, 0u64);
+        for (_, event) in series.events() {
+            if let ObsEvent::WindowSummary {
+                delivered_copies,
+                copy_kills,
+                copy_recoveries,
+                ..
+            } = event
+            {
+                delivered += delivered_copies;
+                kills += copy_kills;
+                recoveries += copy_recoveries;
+            }
+        }
+        assert_eq!(
+            (delivered, kills, recoveries),
+            (
+                observed.delivered_copies,
+                observed.recovery.copies_killed,
+                observed.recovery.copies_recovered
+            )
+        );
+        assert_eq!((delivered, kills, recoveries), (5900, 248, 246));
     }
 
     #[test]
@@ -1255,6 +1292,32 @@ mod tests {
         assert!(min.voq_cap > 0 || min.input_cap > 0);
         assert_eq!(min.crosspoint_faults, 0);
         assert_eq!(min.flap_period, 0);
+    }
+
+    #[test]
+    fn the_first_violation_ends_the_run() {
+        let sc = ChaosScenario::parse(
+            "seed=5,slots=800,load=0.5,crosspoint_faults=2,crosspoint_at=100,\
+             crosspoint_duration=300,retry_budget=4,quarantine=60",
+        )
+        .unwrap();
+        let core = MulticastVoqSwitch::new(sc.n, sc.seed);
+        let out = run_scenario_on(
+            &sc,
+            DoubleRetry {
+                inner: core,
+                dup: None,
+            },
+        );
+        assert!(
+            out.violation.is_some(),
+            "seeded bug did not trigger: {out:?}"
+        );
+        assert!(
+            out.slots_run < sc.slots,
+            "the run went on for {} slots after its violation",
+            out.slots_run
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use fifoms_fabric::Switch;
 use fifoms_obs::{EventSink, PhaseProfiler, SnapshotBus, Telemetry};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use fifoms_stats::{
     DelayStats, DelaySummary, OccupancySummary, OccupancyTracker, RunningStat,
@@ -138,9 +139,10 @@ pub struct Observer<'a> {
     /// and drains the switch stack's buffered events every slot.
     pub sink: Option<(&'a dyn EventSink, &'a str)>,
     /// Phase profiler plus its sampling stride `k`: every `k`-th slot has
-    /// its four engine phases (`traffic`, `admit`, `schedule`, `stats`)
-    /// timed. Sampling keeps clock reads off most slots so the profiled
-    /// run stays representative.
+    /// its engine phases (`traffic`, `admit`, `schedule`, `stats`, plus
+    /// `persist` with recovery and `observe` with a sink or telemetry
+    /// attached; see [`SlotHook::phase`]) timed. Sampling keeps clock
+    /// reads off most slots so the profiled run stays representative.
     pub profiler: Option<(&'a mut PhaseProfiler, u64)>,
     /// Live telemetry channel (DESIGN.md §14). When set, the engine
     /// drains the switch stack's events every slot (feeding the windowed
@@ -233,7 +235,7 @@ pub fn try_simulate_observed(
     cfg: &RunConfig,
     obs: &mut Observer<'_>,
 ) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, None)
+    simulate_inner(switch, traffic, cfg, obs, None, &mut ())
 }
 
 /// [`try_simulate_observed`] with crash-safe checkpointing attached
@@ -251,15 +253,89 @@ pub fn try_simulate_recoverable(
     obs: &mut Observer<'_>,
     recovery: &mut RecoveryRuntime,
 ) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, Some(recovery))
+    simulate_inner(switch, traffic, cfg, obs, Some(recovery), &mut ())
 }
 
-fn simulate_inner(
-    switch: &mut dyn Switch,
+/// A caller's extension of the engine's slot loop (DESIGN.md §4): what a
+/// chaos campaign, the allocation audit or a replay needs beyond loaded
+/// slots and statistics, without a slot loop of its own. Every method
+/// defaults to a no-op; `()` is the no-op hook the plain entry points pass.
+pub trait SlotHook<S: ?Sized> {
+    /// The drain phase's stall window, or `None` (the default) to end the
+    /// run after `cfg.slots` loaded slots. With a window, the engine keeps
+    /// running slots without arrivals until the backlog is empty, or until
+    /// `window` slots pass without the backlog falling below its lowest
+    /// drained value.
+    fn drain_window(&self) -> Option<u64> {
+        None
+    }
+
+    /// The engine entered (`enter`) or left phase `name` of the current
+    /// slot. In slot order: `persist` (checkpoint; recovery runs only),
+    /// `traffic`, `persist` again (WAL), `admit`, `schedule`, `stats`, and
+    /// `observe` (event forwarding and telemetry; only with a sink or
+    /// telemetry attached). Sampled slots time the same phases in the
+    /// profiler.
+    fn phase(&mut self, _name: &'static str, _enter: bool) {}
+
+    /// Called after every executed slot with the switch and the slot's
+    /// outcome, before the outcome's buffers are recycled. Returning
+    /// [`ControlFlow::Break`] ends the run after this slot.
+    fn after_slot(
+        &mut self,
+        _switch: &mut S,
+        _now: Slot,
+        _outcome: &SlotOutcome,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+}
+
+impl<S: ?Sized> SlotHook<S> for () {}
+
+/// [`try_simulate_observed`] with a [`SlotHook`] driving the run: the
+/// hook sees every phase boundary and every finished slot, may stop the
+/// run, and may ask for a drain phase after the loaded slots. Recovery
+/// cannot be attached to a hooked run.
+pub fn try_simulate_hooked<S: Switch + ?Sized, H: SlotHook<S>>(
+    switch: &mut S,
+    traffic: &mut dyn TrafficModel,
+    cfg: &RunConfig,
+    obs: &mut Observer<'_>,
+    hook: &mut H,
+) -> Result<RunResult, SimError> {
+    simulate_inner(switch, traffic, cfg, obs, None, hook)
+}
+
+/// Mark one phase boundary: the profiler's span on sampled slots and the
+/// hook's [`SlotHook::phase`] call both come from here.
+#[inline(always)]
+fn mark<S: Switch + ?Sized, H: SlotHook<S>>(
+    obs: &mut Observer<'_>,
+    hook: &mut H,
+    timed: bool,
+    name: &'static str,
+    enter: bool,
+) {
+    if timed {
+        if let Some((p, _)) = obs.profiler.as_mut() {
+            if enter {
+                p.enter(name);
+            } else {
+                p.exit(name);
+            }
+        }
+    }
+    hook.phase(name, enter);
+}
+
+fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
+    switch: &mut S,
     traffic: &mut dyn TrafficModel,
     cfg: &RunConfig,
     obs: &mut Observer<'_>,
     mut recovery: Option<&mut RecoveryRuntime>,
+    hook: &mut H,
 ) -> Result<RunResult, SimError> {
     if cfg.warmup >= cfg.slots {
         return Err(SimError::WarmupTooLong {
@@ -284,6 +360,10 @@ fn simulate_inner(
     let mut occupancy = OccupancyTracker::new(n);
     let mut rounds = RunningStat::new();
     let mut detector = SaturationDetector::new(cfg.backlog_cap);
+    // Every backlog sample of the loaded phase, reserved before slot 0
+    // so the sample vector never grows inside the loop.
+    let samples = usize::try_from(cfg.slots / cfg.sample_every + 1).unwrap_or(usize::MAX);
+    detector.reserve_samples(samples);
     let mut arrivals: Vec<Option<_>> = Vec::with_capacity(n);
     let mut queue_buf: Vec<usize> = Vec::with_capacity(n);
     let mut next_packet = 0u64;
@@ -321,7 +401,9 @@ fn simulate_inner(
             delay = applied.delay;
             occupancy = applied.occupancy;
             rounds = applied.rounds;
+            // The restore replaces the sample vector: reserve again.
             detector.restore_raw(applied.detector_samples, applied.detector_cap_hit);
+            detector.reserve_samples(samples);
         }
     }
 
@@ -346,23 +428,45 @@ fn simulate_inner(
         }
     }
 
-    // Open/close a profiler span only on sampled slots.
-    fn span(obs: &mut Observer<'_>, timed: bool, name: &'static str, enter: bool) {
-        if !timed {
-            return;
-        }
-        if let Some((p, _)) = obs.profiler.as_mut() {
-            if enter {
-                p.enter(name);
-            } else {
-                p.exit(name);
+    let observing = obs.sink.is_some() || obs.telemetry.is_some();
+    let drain_window = hook.drain_window();
+    let mut lowest_backlog = usize::MAX;
+    let mut drain_deadline = 0u64;
+    let mut t = start_slot;
+    loop {
+        if t >= cfg.slots {
+            // Drain phase, when the hook asks for one: no arrivals, and a
+            // stall window that restarts whenever the backlog reaches a
+            // new low. Once admissions stop the backlog cannot grow, so a
+            // full window without a new low means no copy will move again.
+            let Some(window) = drain_window else { break };
+            let copies = switch.backlog().copies;
+            if copies == 0 {
+                break;
+            }
+            if copies < lowest_backlog {
+                lowest_backlog = copies;
+                drain_deadline = t.saturating_add(window);
+            }
+            if t >= drain_deadline {
+                break;
             }
         }
-    }
-
-    for t in start_slot..cfg.slots {
         let now = Slot(t);
+        let timed = match &obs.profiler {
+            Some((_, every)) => t.is_multiple_of(*every.max(&1)),
+            None => false,
+        };
+        // Wall-clock for the whole slot, feeding the tail histogram.
+        let slot_timer = timed.then(SpanTimer::start);
+        // Telemetry times every slot (one clock read; its wall time
+        // feeds windowed slots/sec and the live tail histogram). Both
+        // timers exist only when their consumer is attached, so the
+        // plain path never reads a clock.
+        let tele_active = obs.telemetry.is_some();
+        let tele_timer = tele_active.then(SpanTimer::start);
         if let Some(rec) = recovery.as_deref_mut() {
+            mark(obs, hook, timed, "persist", true);
             // Checkpoint at the top of the slot, *before* the traffic
             // draw, so a restart at `t` regenerates the slot in full.
             // The trace offset is captured before the checkpoint_written
@@ -399,6 +503,7 @@ fn simulate_inner(
                     sink.emit(scope, &event);
                 }
             }
+            mark(obs, hook, timed, "persist", false);
             // The deliberate crash hook fires after any due checkpoint —
             // exactly what a real crash between two checkpoints looks
             // like to the recovery path.
@@ -409,29 +514,23 @@ fn simulate_inner(
                 return Err(SimError::Killed { slot: t });
             }
         }
-        let timed = match &obs.profiler {
-            Some((_, every)) => t % every.max(&1) == 0,
-            None => false,
-        };
-        // Wall-clock for the whole slot, feeding the tail histogram.
-        let slot_timer = timed.then(SpanTimer::start);
-        // Telemetry times every slot (one clock read; its wall time
-        // feeds windowed slots/sec and the live tail histogram). Both
-        // timers exist only when their consumer is attached, so the
-        // plain path never reads a clock.
-        let tele_active = obs.telemetry.is_some();
-        let tele_timer = tele_active.then(SpanTimer::start);
-        span(obs, timed, "traffic", true);
-        traffic.next_slot(now, &mut arrivals);
-        span(obs, timed, "traffic", false);
+        mark(obs, hook, timed, "traffic", true);
+        if t < cfg.slots {
+            traffic.next_slot(now, &mut arrivals);
+        }
+        mark(obs, hook, timed, "traffic", false);
         if let Some(rec) = recovery.as_deref_mut() {
             // Write-ahead log the raw arrivals; across a resume's replay
             // gap this also verifies the restored traffic model is
             // regenerating the logged pre-crash arrivals.
+            mark(obs, hook, timed, "persist", true);
             rec.record_arrivals(t, &arrivals)?;
+            mark(obs, hook, timed, "persist", false);
         }
         let admitted_before = next_packet;
-        span(obs, timed, "admit", true);
+        mark(obs, hook, timed, "admit", true);
+        // Drain slots find every entry already taken by the previous
+        // slot's admission, so nothing is admitted.
         for (input, dests) in arrivals.iter_mut().enumerate() {
             if let Some(dests) = dests.take() {
                 next_packet += 1;
@@ -443,15 +542,15 @@ fn simulate_inner(
                 ));
             }
         }
-        span(obs, timed, "admit", false);
+        mark(obs, hook, timed, "admit", false);
         if timed {
             switch.set_span_recording(true);
         }
-        span(obs, timed, "schedule", true);
+        mark(obs, hook, timed, "schedule", true);
         let sched_timer = tele_active.then(SpanTimer::start);
         let outcome = switch.run_slot(now);
         let sched_ns = sched_timer.map_or(0, |tm| tm.elapsed_ns());
-        span(obs, timed, "schedule", false);
+        mark(obs, hook, timed, "schedule", false);
         if timed {
             // Attach the switch's self-measured sub-phases (VOQ scan,
             // request build, grant arbitration, commit) as children of the
@@ -468,11 +567,7 @@ fn simulate_inner(
         }
         slots_run = t + 1;
 
-        if obs.sink.is_some() || tele_active {
-            forward_events(switch, obs, &mut event_buf);
-        }
-
-        span(obs, timed, "stats", true);
+        mark(obs, hook, timed, "stats", true);
         if t >= cfg.warmup {
             for d in &outcome.departures {
                 delay.record_copy(d.delay(now), d.last_copy);
@@ -484,33 +579,41 @@ fn simulate_inner(
             switch.queue_sizes(&mut queue_buf);
             occupancy.sample(&queue_buf);
         }
-        let capped = t % cfg.sample_every == 0 && detector.observe(switch.backlog().copies);
-        span(obs, timed, "stats", false);
+        let capped =
+            t.is_multiple_of(cfg.sample_every) && detector.observe(switch.backlog().copies);
+        mark(obs, hook, timed, "stats", false);
+        if observing {
+            mark(obs, hook, timed, "observe", true);
+            forward_events(switch, obs, &mut event_buf);
+            if let Some(tc) = obs.telemetry.as_mut() {
+                let wall_ns = tele_timer.map_or(0, |tm| tm.elapsed_ns());
+                tc.end_slot(
+                    switch,
+                    now,
+                    &outcome,
+                    next_packet - admitted_before,
+                    sched_ns,
+                    wall_ns,
+                    &mut quarantine_buf,
+                );
+            }
+            mark(obs, hook, timed, "observe", false);
+        }
         if let (Some(timer), Some((p, _))) = (slot_timer, obs.profiler.as_mut()) {
             p.record_slot_ns(timer.elapsed_ns());
         }
-        if let Some(tc) = obs.telemetry.as_mut() {
-            let wall_ns = tele_timer.map_or(0, |tm| tm.elapsed_ns());
-            tc.end_slot(
-                switch,
-                now,
-                &outcome,
-                next_packet - admitted_before,
-                sched_ns,
-                wall_ns,
-                &mut quarantine_buf,
-            );
-        }
+        let flow = hook.after_slot(switch, now, &outcome);
         // Hand the outcome's heap buffers back for the next slot. Runs on
         // every path (observed or not): recycling is memory reuse only,
         // so it cannot perturb results.
         switch.recycle(outcome);
-        if capped {
-            break; // backlog cap exceeded: the point is hopeless
+        if capped || flow.is_break() {
+            break; // backlog cap exceeded (the point is hopeless) or the hook stopped the run
         }
+        t += 1;
     }
 
-    if obs.sink.is_some() || obs.telemetry.is_some() {
+    if observing {
         // Let buffering wrappers (the ring-buffer flight recorder) move
         // retained events into the drain path, then a final drain catches
         // everything buffered during the last slot's teardown (e.g. a
@@ -583,7 +686,11 @@ fn simulate_inner(
 
 /// Drain the switch stack's buffered events into the telemetry window
 /// and the trace sink, in that order.
-fn forward_events(switch: &mut dyn Switch, obs: &mut Observer<'_>, buf: &mut Vec<ObsEvent>) {
+fn forward_events<S: Switch + ?Sized>(
+    switch: &mut S,
+    obs: &mut Observer<'_>,
+    buf: &mut Vec<ObsEvent>,
+) {
     switch.drain_events(buf);
     for e in buf.drain(..) {
         if let Some(tc) = obs.telemetry.as_mut() {
@@ -597,7 +704,7 @@ fn forward_events(switch: &mut dyn Switch, obs: &mut Observer<'_>, buf: &mut Vec
 
 impl TelemetryChannel<'_> {
     /// Open the time-series stream with its `window_meta` record.
-    pub(crate) fn begin(&self) {
+    fn begin(&self) {
         if let Some((sink, scope)) = self.series {
             sink.emit(scope, &self.telemetry.meta_event());
         }
@@ -611,9 +718,9 @@ impl TelemetryChannel<'_> {
     /// counters into the bus's buffer, so nothing here allocates after
     /// the first publication.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn end_slot(
+    fn end_slot<S: Switch + ?Sized>(
         &mut self,
-        switch: &dyn Switch,
+        switch: &S,
         now: Slot,
         outcome: &SlotOutcome,
         admitted_packets: u64,
@@ -645,9 +752,9 @@ impl TelemetryChannel<'_> {
     /// Close the partial final window (if any), flush the series stream,
     /// and publish the completion-marked snapshot so `top` can tell a
     /// finished scope from a stalled one.
-    pub(crate) fn end_run(
+    fn end_run<S: Switch + ?Sized>(
         &mut self,
-        switch: &dyn Switch,
+        switch: &S,
         slots_run: u64,
         paths: &mut Vec<(PortId, PortId)>,
     ) {
@@ -827,5 +934,185 @@ mod tests {
             r_oq.delay.mean_output_oriented,
             r_fs.delay.mean_output_oriented
         );
+    }
+
+    /// Records the backlog after every slot, stops after slot `stop_after`
+    /// when set, and asks for a drain phase when `window` is set.
+    #[derive(Default)]
+    struct Probe {
+        window: Option<u64>,
+        stop_after: Option<u64>,
+        backlog_after: Vec<usize>,
+        phases: Vec<(&'static str, bool)>,
+    }
+
+    impl<S: Switch + ?Sized> SlotHook<S> for Probe {
+        fn drain_window(&self) -> Option<u64> {
+            self.window
+        }
+        fn phase(&mut self, name: &'static str, enter: bool) {
+            self.phases.push((name, enter));
+        }
+        fn after_slot(&mut self, switch: &mut S, now: Slot, _: &SlotOutcome) -> ControlFlow<()> {
+            assert_eq!(
+                now.0,
+                self.backlog_after.len() as u64,
+                "one call per slot, in order"
+            );
+            self.backlog_after.push(switch.backlog().copies);
+            match self.stop_after {
+                Some(k) if now.0 == k => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(()),
+            }
+        }
+    }
+
+    fn drain_config(slots: u64) -> RunConfig {
+        RunConfig {
+            slots,
+            warmup: 0,
+            backlog_cap: usize::MAX,
+            sample_every: 10,
+        }
+    }
+
+    #[test]
+    fn drained_run_ends_at_the_first_empty_backlog_after_the_loaded_slots() {
+        // Overload for 300 slots leaves a deep backlog to drain.
+        let cfg = drain_config(300);
+        let mut sw = MulticastVoqSwitch::new(8, 1);
+        let mut tr = BernoulliMulticast::new(8, 1.0, 0.25, 4).unwrap();
+        let mut probe = Probe {
+            window: Some(1_000),
+            ..Probe::default()
+        };
+        let r =
+            try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut Observer::none(), &mut probe).unwrap();
+        assert!(
+            r.slots_run > cfg.slots + 10,
+            "the drain phase ran: {}",
+            r.slots_run
+        );
+        assert_eq!(r.slots_run, probe.backlog_after.len() as u64);
+        // Slot t's backlog is what the drain check at slot t + 1 sees.
+        let last = r.slots_run as usize - 1;
+        assert_eq!(probe.backlog_after[last], 0);
+        for t in cfg.slots as usize - 1..last {
+            assert!(probe.backlog_after[t] > 0, "slot {t} left an empty backlog");
+        }
+        assert!(sw.backlog().is_empty());
+
+        // Without a window the same run stops at `cfg.slots`, having
+        // admitted the same packets: the drain phase admits none.
+        let mut sw = MulticastVoqSwitch::new(8, 1);
+        let mut tr = BernoulliMulticast::new(8, 1.0, 0.25, 4).unwrap();
+        let plain = try_simulate(&mut sw, &mut tr, &cfg).unwrap();
+        assert_eq!(plain.slots_run, cfg.slots);
+        assert_eq!(plain.packets_admitted, r.packets_admitted);
+        assert!(!sw.backlog().is_empty());
+    }
+
+    /// Queues every copy it is given and never delivers one.
+    struct Blackhole {
+        queued: usize,
+    }
+
+    impl Switch for Blackhole {
+        fn name(&self) -> String {
+            "blackhole".into()
+        }
+        fn ports(&self) -> usize {
+            4
+        }
+        fn admit(&mut self, packet: Packet) {
+            self.queued += packet.fanout();
+        }
+        fn run_slot(&mut self, _now: Slot) -> SlotOutcome {
+            SlotOutcome::idle()
+        }
+        fn queue_sizes(&self, out: &mut Vec<usize>) {
+            out.clear();
+            out.resize(4, 0);
+        }
+        fn backlog(&self) -> fifoms_fabric::Backlog {
+            fifoms_fabric::Backlog {
+                packets: self.queued.min(1),
+                copies: self.queued,
+            }
+        }
+    }
+
+    #[test]
+    fn a_switch_that_never_delivers_stops_after_one_stall_window() {
+        let cfg = drain_config(50);
+        let mut sw = Blackhole { queued: 0 };
+        let mut tr = BernoulliMulticast::new(4, 0.5, 0.5, 2).unwrap();
+        let mut probe = Probe {
+            window: Some(70),
+            ..Probe::default()
+        };
+        let r =
+            try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut Observer::none(), &mut probe).unwrap();
+        assert_eq!(r.slots_run, cfg.slots + 70);
+        assert!(sw.backlog().copies > 0);
+        assert_eq!(r.copies_delivered, 0);
+    }
+
+    #[test]
+    fn a_hook_that_breaks_after_slot_k_runs_k_plus_one_slots() {
+        let mut sw = MulticastVoqSwitch::new(8, 1);
+        let mut tr = BernoulliMulticast::new(8, 0.3, 0.25, 3).unwrap();
+        let mut probe = Probe {
+            stop_after: Some(37),
+            ..Probe::default()
+        };
+        let r = try_simulate_hooked(
+            &mut sw,
+            &mut tr,
+            &RunConfig::quick(1_000),
+            &mut Observer::none(),
+            &mut probe,
+        )
+        .unwrap();
+        assert_eq!(r.slots_run, 38);
+        assert_eq!(probe.backlog_after.len(), 38);
+    }
+
+    #[test]
+    fn phases_are_marked_in_slot_order() {
+        let mut sw = MulticastVoqSwitch::new(4, 1);
+        let mut tr = BernoulliMulticast::new(4, 0.3, 0.5, 3).unwrap();
+        let cfg = RunConfig::quick(4);
+        let mut probe = Probe::default();
+        try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut Observer::none(), &mut probe).unwrap();
+        let plain = ["traffic", "admit", "schedule", "stats"];
+        let expect: Vec<_> = plain
+            .iter()
+            .flat_map(|p| [(*p, true), (*p, false)])
+            .collect();
+        assert_eq!(probe.phases.len(), 4 * expect.len());
+        assert_eq!(probe.phases[..expect.len()], expect[..]);
+
+        // Telemetry adds the observe phase after stats.
+        let mut sw = MulticastVoqSwitch::new(4, 1);
+        let mut tr = BernoulliMulticast::new(4, 0.3, 0.5, 3).unwrap();
+        let mut telemetry = Telemetry::new(4, 2);
+        let mut obs = Observer {
+            sink: None,
+            profiler: None,
+            telemetry: Some(TelemetryChannel {
+                telemetry: &mut telemetry,
+                series: None,
+                bus: None,
+            }),
+        };
+        let mut probe = Probe::default();
+        try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut obs, &mut probe).unwrap();
+        let observed: Vec<_> = plain
+            .iter()
+            .chain(&["observe"])
+            .flat_map(|p| [(*p, true), (*p, false)])
+            .collect();
+        assert_eq!(probe.phases[..observed.len()], observed[..]);
     }
 }

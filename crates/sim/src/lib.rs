@@ -15,9 +15,13 @@
 //!
 //! * [`simulate`] drives one `(switch, traffic)` pair under a
 //!   [`RunConfig`] and yields a [`RunResult`]. It and [`try_simulate`],
-//!   [`try_simulate_observed`] and [`try_simulate_recoverable`] are thin
-//!   wrappers over one engine core whose two optional attachments, an
-//!   [`Observer`] and a [`RecoveryRuntime`], combine freely;
+//!   [`try_simulate_observed`], [`try_simulate_recoverable`] and
+//!   [`try_simulate_hooked`] are thin wrappers over the one slot loop in
+//!   the crate. Its optional attachments, an [`Observer`] and a
+//!   [`RecoveryRuntime`], combine freely; a [`SlotHook`] extends the loop
+//!   per slot (drain phase, phase boundaries, early stop) and is how the
+//!   chaos campaign, the allocation audit and the CLI's fairness and
+//!   replay commands run;
 //! * [`SwitchKind`] / [`TrafficKind`] are buildable specifications of
 //!   every scheduler and workload in the workspace (the experiment
 //!   harness and benches construct sweeps from these);
@@ -65,8 +69,8 @@ pub use chaos::{
 };
 pub use checkpoint::CheckpointJournal;
 pub use engine::{
-    simulate, try_simulate, try_simulate_observed, try_simulate_recoverable, Observer, RunConfig,
-    RunResult, TelemetryChannel, TelemetrySpec,
+    simulate, try_simulate, try_simulate_hooked, try_simulate_observed, try_simulate_recoverable,
+    Observer, RunConfig, RunResult, SlotHook, TelemetryChannel, TelemetrySpec,
 };
 pub use guard::{guarded, CellFailureReason};
 pub use overload::{loss_sweep, loss_sweep_observed, LossPoint, LossSweepConfig};

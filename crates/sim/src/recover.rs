@@ -458,9 +458,9 @@ struct DecodedRunState {
     telemetry_blob: Option<Vec<u8>>,
 }
 
-fn encode_run_state(
+fn encode_run_state<S: Switch + ?Sized>(
     snap: &RunSnapshot<'_>,
-    switch: &dyn Switch,
+    switch: &S,
     traffic: &dyn TrafficModel,
     telemetry: Option<&Telemetry>,
 ) -> Result<Vec<u8>, SimError> {
@@ -683,9 +683,9 @@ impl RecoveryRuntime {
     /// from the pending resume state, returning the engine-local fields.
     ///
     /// Returns `Ok(None)` when there is nothing to resume.
-    pub fn apply_resume(
+    pub fn apply_resume<S: Switch + ?Sized>(
         &mut self,
-        switch: &mut dyn Switch,
+        switch: &mut S,
         traffic: &mut dyn TrafficModel,
         telemetry: Option<&mut Telemetry>,
     ) -> Result<Option<AppliedResume>, SimError> {
@@ -728,10 +728,10 @@ impl RecoveryRuntime {
     /// `snap.slot`, then truncate the WAL it supersedes. Returns
     /// `(seq, bytes_written, trace_offset)` for the `checkpoint_written`
     /// event.
-    pub fn write_checkpoint(
+    pub fn write_checkpoint<S: Switch + ?Sized>(
         &mut self,
         snap: &RunSnapshot<'_>,
-        switch: &dyn Switch,
+        switch: &S,
         traffic: &dyn TrafficModel,
         telemetry: Option<&Telemetry>,
     ) -> Result<(u64, u64), SimError> {

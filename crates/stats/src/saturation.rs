@@ -89,10 +89,20 @@ impl SaturationDetector {
     }
 
     /// Restore mutable state captured by [`SaturationDetector::raw`] into
-    /// a freshly configured detector.
+    /// a freshly configured detector. The restored vector replaces any
+    /// reservation, so reserve again afterwards.
     pub fn restore_raw(&mut self, samples: Vec<usize>, cap_hit: bool) {
         self.samples = samples;
         self.cap_hit = cap_hit;
+    }
+
+    /// Make room for `total` samples in all, so that [`observe`] does not
+    /// allocate until that many have been recorded.
+    ///
+    /// [`observe`]: SaturationDetector::observe
+    pub fn reserve_samples(&mut self, total: usize) {
+        self.samples
+            .reserve(total.saturating_sub(self.samples.len()));
     }
 
     /// Whether the cap has been hit so far.
@@ -202,5 +212,32 @@ mod tests {
     #[should_panic(expected = "growth factor")]
     fn bad_growth_factor_rejected() {
         let _ = SaturationDetector::new(10).with_trend(0.5, 1.0);
+    }
+
+    #[test]
+    fn reserved_samples_survive_until_the_reservation_is_used() {
+        let mut d = SaturationDetector::new(100);
+        d.reserve_samples(64);
+        let ptr = d.raw().0.as_ptr();
+        for _ in 0..64 {
+            d.observe(1);
+        }
+        assert_eq!(
+            d.raw().0.as_ptr(),
+            ptr,
+            "observe reallocated inside the reservation"
+        );
+        // A restore brings its own vector; reserving again covers the rest.
+        d.restore_raw(vec![1; 10], false);
+        d.reserve_samples(64);
+        let ptr = d.raw().0.as_ptr();
+        for _ in 10..64 {
+            d.observe(1);
+        }
+        assert_eq!(
+            d.raw().0.as_ptr(),
+            ptr,
+            "observe reallocated after a restore"
+        );
     }
 }

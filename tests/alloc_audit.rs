@@ -4,18 +4,23 @@
 //! `#[global_allocator]` here taxes only this test binary — the library
 //! crates stay `forbid(unsafe_code)` and the workspace's other tests run
 //! on the plain system allocator. The audit harness itself is
-//! [`fifoms_sim::alloc_audit`]; this file supplies the counter it needs
-//! and asserts the headline claim: after warmup, the engine's slot loop
-//! (`traffic → admit → run_slot → stats`) performs **zero** heap
-//! allocations for both FIFOMS and iSLIP at N=8 and N=64, and for FIFOMS
-//! at N=256, where every port set spills past its inline words. At N=256
-//! the traffic phase is exempt: each generated `Packet` owns a heap-spilled
-//! destination set.
+//! [`fifoms_sim::alloc_audit`], which runs the engine's own slot loop;
+//! this file supplies the counter it needs and asserts the headline
+//! claim: after warmup, that loop performs **zero** heap allocations for
+//! both FIFOMS and iSLIP at N=8 and N=64, and for FIFOMS at N=256, where
+//! every port set spills past its inline words. At N=256 the traffic
+//! phase is exempt: each generated `Packet` owns a heap-spilled
+//! destination set. FIFOMS at N=8 stays clean with live telemetry
+//! attached. The campaign stack (checker, egress faults,
+//! instrumentation, telemetry) is audited too, and its per-phase counts
+//! are printed, not asserted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use fifoms::fabric::FaultMode;
 use fifoms::prelude::*;
+use fifoms::sim::TelemetryChannel;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -59,7 +64,15 @@ fn steady_state_slot_loop_is_allocation_free() {
     let audit = |label: &str, kind: SwitchKind, n: usize, measure: u64| {
         let mut sw = kind.build(n, 1);
         let mut tr = TrafficKind::bernoulli_at_load(0.6, 0.25, n).build(n, 2);
-        let report = alloc_audit(sw.as_mut(), tr.as_mut(), 3_000, measure, &alloc_events).unwrap();
+        let report = alloc_audit(
+            sw.as_mut(),
+            tr.as_mut(),
+            3_000,
+            measure,
+            &alloc_events,
+            &mut Observer::none(),
+        )
+        .unwrap();
         assert!(
             report.packets_admitted > 0 && report.copies_delivered > 0,
             "{label} N={n}: audit must exercise real load"
@@ -80,6 +93,28 @@ fn steady_state_slot_loop_is_allocation_free() {
             );
         }
     }
+    // Live telemetry folds each slot into integer counters and closes
+    // windows into a pre-sized ring, so attaching it keeps the loop clean.
+    let mut sw = SwitchKind::Fifoms.build(8, 1);
+    let mut tr = TrafficKind::bernoulli_at_load(0.6, 0.25, 8).build(8, 2);
+    let mut telemetry = Telemetry::new(8, 500);
+    let mut obs = Observer {
+        sink: None,
+        profiler: None,
+        telemetry: Some(TelemetryChannel {
+            telemetry: &mut telemetry,
+            series: None,
+            bus: None,
+        }),
+    };
+    let report =
+        alloc_audit(sw.as_mut(), tr.as_mut(), 3_000, 3_000, &alloc_events, &mut obs).unwrap();
+    assert!(
+        report.is_clean(),
+        "FIFOMS N=8 with telemetry: steady-state slot loop allocated: {:?}",
+        report.phase_allocs
+    );
+
     let report = audit("FIFOMS", SwitchKind::Fifoms, 256, 300);
     for (phase, allocs) in report.phase_allocs {
         if phase == "traffic" {
@@ -92,4 +127,48 @@ fn steady_state_slot_loop_is_allocation_free() {
             );
         }
     }
+
+    // The campaign stack: Checked ▸ Faulty (egress, events on) ▸
+    // Instrumented ▸ FIFOMS at N=8 with telemetry attached. Reported, not
+    // gated: its event and telemetry paths still allocate.
+    let faults = FaultConfig {
+        seed: 3,
+        flap_period: 1_000,
+        flap_duration: 50,
+        crosspoint_faults: 2,
+        crosspoint_at: 500,
+        crosspoint_duration: 2_000,
+        mode: FaultMode::Egress,
+        retry_budget: 3,
+    };
+    let core = MulticastVoqSwitch::new(8, 1).with_quarantine_slots(200);
+    let mut sw = CheckedSwitch::new(
+        FaultyFabric::new(InstrumentedSwitch::new(core), faults).with_event_recording(),
+    );
+    let mut tr = TrafficKind::bernoulli_at_load(0.6, 0.25, 8).build(8, 2);
+    let mut telemetry = Telemetry::new(8, 500);
+    let mut obs = Observer {
+        sink: None,
+        profiler: None,
+        telemetry: Some(TelemetryChannel {
+            telemetry: &mut telemetry,
+            series: None,
+            bus: None,
+        }),
+    };
+    let report = alloc_audit(
+        &mut sw,
+        tr.as_mut(),
+        10_000,
+        10_000,
+        &alloc_events,
+        &mut obs,
+    )
+    .unwrap();
+    assert!(report.packets_admitted > 0 && report.copies_delivered > 0);
+    println!(
+        "campaign stack N=8, slots 10000-19999: {} allocations {:?}",
+        report.total_allocs(),
+        report.phase_allocs
+    );
 }
