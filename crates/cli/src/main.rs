@@ -13,7 +13,7 @@
 //!   --quick            1/10th slots (smoke runs)
 //!
 //! sweep (fault-isolated Fig. 4 grid) additionally accepts:
-//!   --journal <PATH>     journal finished cells to PATH (fresh run)
+//!   --journal <PATH>     journal completed cells to PATH (fresh run)
 //!   --resume <PATH>      resume from PATH, skipping journaled cells
 //!   --check-every <K>    runtime invariant validation; conservation every K slots
 //!   --cell-timeout <SEC> per-cell wall-clock watchdog

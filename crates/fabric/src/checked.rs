@@ -163,158 +163,120 @@ impl<S: Switch> CheckedSwitch<S> {
         self.violation.get_or_insert(violation);
     }
 
-    /// Drain and account the wrapped switch's reconciled drops. A drop
-    /// resolves its output exactly like a delivery (same membership and
-    /// overrun checks) but counts toward `reconciled_copies`, and a
-    /// packet whose last copy resolves by drop completes without any
-    /// flagged departure.
-    fn absorb_inner_drops(&mut self) {
-        let mut drained = Vec::new();
-        self.inner.drain_reconciled_drops(&mut drained);
-        for drop in &drained {
-            let d = *drop;
-            match self.in_flight.get_mut(&d.packet) {
-                None => self.record(InvariantViolation::GrantOutsideFanout {
-                    slot: d.slot,
-                    input: d.input,
-                    output: d.output,
-                    packet: d.packet,
-                }),
-                Some(entry) if !entry.requested.contains(d.output) => {
-                    self.record(InvariantViolation::GrantOutsideFanout {
-                        slot: d.slot,
-                        input: d.input,
-                        output: d.output,
-                        packet: d.packet,
-                    });
-                }
-                Some(entry) => {
-                    if !entry.served.insert(d.output) {
-                        let violation = InvariantViolation::FanoutOverrun {
-                            slot: d.slot,
-                            packet: d.packet,
-                            fanout: entry.requested.len(),
-                            delivered: entry.served.len() + 1,
-                        };
-                        self.record(violation);
-                        continue;
+    /// Resolve `output` of `packet`, by a delivery or by a drop, in the
+    /// residual-fanout ledger: the output must be in the packet's residual
+    /// fanout and not yet served. Returns the copies the packet still has
+    /// outstanding, or `None` after recording the violation. A packet
+    /// with none outstanding is retired — by a drop, without any flagged
+    /// departure.
+    fn resolve_copy(
+        &mut self,
+        slot: Slot,
+        input: PortId,
+        output: PortId,
+        packet: PacketId,
+    ) -> Option<usize> {
+        match self.in_flight.get_mut(&packet) {
+            Some(entry) if entry.requested.contains(output) => {
+                if entry.served.insert(output) {
+                    let remaining = entry.requested.len() - entry.served.len();
+                    if remaining == 0 {
+                        self.in_flight.remove(&packet);
                     }
-                    self.reconciled_copies += 1;
-                    if entry.served.len() == entry.requested.len() {
-                        self.in_flight.remove(&d.packet);
-                    }
+                    return Some(remaining);
                 }
-            }
-        }
-        self.drops.extend(drained);
-    }
-
-    /// Drain and account the wrapped switch's admission-control drops.
-    /// An admission drop resolves its output exactly like a delivery
-    /// (same membership and overrun checks) but counts toward
-    /// `admission_dropped_copies`; a packet whose copies all resolve by
-    /// admission drop completes without ever occupying a buffer.
-    fn absorb_admission_drops(&mut self) {
-        let mut drained = Vec::new();
-        self.inner.drain_admission_drops(&mut drained);
-        for drop in &drained {
-            let d = *drop;
-            match self.in_flight.get_mut(&d.packet) {
-                None => self.record(InvariantViolation::GrantOutsideFanout {
-                    slot: d.slot,
-                    input: d.input,
-                    output: d.output,
-                    packet: d.packet,
-                }),
-                Some(entry) if !entry.requested.contains(d.output) => {
-                    self.record(InvariantViolation::GrantOutsideFanout {
-                        slot: d.slot,
-                        input: d.input,
-                        output: d.output,
-                        packet: d.packet,
-                    });
-                }
-                Some(entry) => {
-                    if !entry.served.insert(d.output) {
-                        let violation = InvariantViolation::FanoutOverrun {
-                            slot: d.slot,
-                            packet: d.packet,
-                            fanout: entry.requested.len(),
-                            delivered: entry.served.len() + 1,
-                        };
-                        self.record(violation);
-                        continue;
-                    }
-                    self.admission_dropped_copies += 1;
-                    if entry.served.len() == entry.requested.len() {
-                        self.in_flight.remove(&d.packet);
-                    }
-                }
-            }
-        }
-        self.admission_drops.extend(drained);
-    }
-
-    fn check_outcome(&mut self, now: Slot, outcome: &SlotOutcome) {
-        let mut granted: HashMap<PortId, PortId> = HashMap::new();
-        for d in &outcome.departures {
-            if let Some(&first) = granted.get(&d.output) {
-                if first != d.input {
-                    self.record(InvariantViolation::DuplicateGrant {
-                        slot: now,
-                        output: d.output,
-                        first_input: first,
-                        second_input: d.input,
-                    });
-                }
-            } else {
-                granted.insert(d.output, d.input);
-            }
-
-            let Some(entry) = self.in_flight.get_mut(&d.packet) else {
-                // Unknown or already-completed packet: its residual fanout
-                // is empty, so any further copy is out of fanout.
-                self.record(InvariantViolation::GrantOutsideFanout {
-                    slot: now,
-                    input: d.input,
-                    output: d.output,
-                    packet: d.packet,
-                });
-                continue;
-            };
-            if !entry.requested.contains(d.output) {
-                self.record(InvariantViolation::GrantOutsideFanout {
-                    slot: now,
-                    input: d.input,
-                    output: d.output,
-                    packet: d.packet,
-                });
-                continue;
-            }
-            if !entry.served.insert(d.output) {
                 // Requested output, but served twice: the fanout counter
                 // would decrement past its target.
                 let violation = InvariantViolation::FanoutOverrun {
-                    slot: now,
-                    packet: d.packet,
+                    slot,
+                    packet,
                     fanout: entry.requested.len(),
                     delivered: entry.served.len() + 1,
                 };
                 self.record(violation);
-                continue;
             }
-            self.delivered_copies += 1;
-            let remaining = entry.requested.len() - entry.served.len();
-            if d.last_copy != (remaining == 0) {
-                self.record(InvariantViolation::LastCopyMismatch {
-                    slot: now,
-                    packet: d.packet,
-                    remaining,
-                    flagged_last: d.last_copy,
-                });
+            // An unknown or already-completed packet has an empty residual
+            // fanout, so this copy, like one to an unrequested output, is
+            // out of fanout.
+            _ => self.record(InvariantViolation::GrantOutsideFanout {
+                slot,
+                input,
+                output,
+                packet,
+            }),
+        }
+        None
+    }
+
+    /// Drain the wrapped switch's reconciled drops straight into `drops`
+    /// (buffered for outer drainers) and resolve each one, counting the
+    /// accepted ones toward `reconciled_copies`.
+    fn absorb_inner_drops(&mut self) {
+        let mut drops = std::mem::take(&mut self.drops);
+        let seen = drops.len();
+        self.inner.drain_reconciled_drops(&mut drops);
+        for d in drops.iter().skip(seen) {
+            if self
+                .resolve_copy(d.slot, d.input, d.output, d.packet)
+                .is_some()
+            {
+                self.reconciled_copies += 1;
             }
-            if remaining == 0 {
-                self.in_flight.remove(&d.packet);
+        }
+        self.drops = drops;
+    }
+
+    /// Drain the wrapped switch's admission-control drops straight into
+    /// `admission_drops` and resolve each one, counting the accepted ones
+    /// toward `admission_dropped_copies`: a packet whose copies all
+    /// resolve by admission drop completes without ever occupying a
+    /// buffer.
+    fn absorb_admission_drops(&mut self) {
+        let mut drops = std::mem::take(&mut self.admission_drops);
+        let seen = drops.len();
+        self.inner.drain_admission_drops(&mut drops);
+        for d in drops.iter().skip(seen) {
+            if self
+                .resolve_copy(d.slot, d.input, d.output, d.packet)
+                .is_some()
+            {
+                self.admission_dropped_copies += 1;
+            }
+        }
+        self.admission_drops = drops;
+    }
+
+    fn check_outcome(&mut self, now: Slot, outcome: &SlotOutcome) {
+        let mut granted = PortSet::new();
+        for (i, d) in outcome.departures.iter().enumerate() {
+            if !granted.insert(d.output) {
+                // A second grant of this output: find the input that had
+                // it first among the earlier departures.
+                let first = outcome
+                    .departures
+                    .iter()
+                    .take(i)
+                    .find(|e| e.output == d.output);
+                if let Some(first) = first.filter(|e| e.input != d.input) {
+                    self.record(InvariantViolation::DuplicateGrant {
+                        slot: now,
+                        output: d.output,
+                        first_input: first.input,
+                        second_input: d.input,
+                    });
+                }
+            }
+
+            if let Some(remaining) = self.resolve_copy(now, d.input, d.output, d.packet) {
+                self.delivered_copies += 1;
+                if d.last_copy != (remaining == 0) {
+                    self.record(InvariantViolation::LastCopyMismatch {
+                        slot: now,
+                        packet: d.packet,
+                        remaining,
+                        flagged_last: d.last_copy,
+                    });
+                }
             }
         }
 

@@ -283,12 +283,13 @@ impl<S: Switch> FaultyFabric<S> {
     /// self-consistent.
     fn egress_pass(&mut self, outcome: &mut SlotOutcome, now: Slot) {
         let budget = self.config.retry_budget;
-        let mut survivors = Vec::with_capacity(outcome.departures.len());
         // Packets with a kill this slot: did any of their kills requeue,
         // and was the `last_copy`-flagged departure among the killed?
         let mut requeued_packets: Vec<PacketId> = Vec::new();
         let mut flag_killed_packets: Vec<PacketId> = Vec::new();
-        for d in outcome.departures.drain(..) {
+        // Filter in place: the departures buffer keeps its capacity for
+        // the wrapped switch's next slot.
+        outcome.departures.retain(|d| {
             if !self.path_down(d.input, d.output, now) {
                 // Delivered. If this copy had been killed before, it just
                 // recovered.
@@ -305,8 +306,7 @@ impl<S: Switch> FaultyFabric<S> {
                         });
                     }
                 }
-                survivors.push(d);
-                continue;
+                return true;
             }
             // Killed at the crosspoint.
             self.stats.copies_killed += 1;
@@ -318,9 +318,9 @@ impl<S: Switch> FaultyFabric<S> {
             state.kills += 1;
             let kills = state.kills;
             let disposition = if kills <= budget {
-                self.inner.copy_failed(&d, now, true)
+                self.inner.copy_failed(d, now, true)
             } else {
-                self.inner.copy_failed(&d, now, false)
+                self.inner.copy_failed(d, now, false)
             };
             let requeued = disposition == RetryDisposition::Requeued;
             if requeued {
@@ -354,7 +354,11 @@ impl<S: Switch> FaultyFabric<S> {
                     retry: kills,
                 });
             }
-        }
+            false
+        });
+        // A killed copy still occupied its crosspoint; `connections` is a
+        // fabric-usage metric, so it stays unchanged.
+        //
         // Repair `last_copy` flags. Two cases per packet with a killed
         // flagged copy:
         //  * some kill was requeued → the packet still has queued copies,
@@ -363,6 +367,7 @@ impl<S: Switch> FaultyFabric<S> {
         //    this slot, so the packet's final *delivered* copy is the last
         //    surviving departure of this slot (if any — a packet resolved
         //    entirely by drops completes without a flagged departure).
+        let survivors = &mut outcome.departures;
         for d in survivors.iter_mut() {
             if d.last_copy && requeued_packets.contains(&d.packet) {
                 d.last_copy = false;
@@ -376,9 +381,6 @@ impl<S: Switch> FaultyFabric<S> {
                 d.last_copy = true;
             }
         }
-        // A killed copy still occupied its crosspoint; `connections` is a
-        // fabric-usage metric, so it stays unchanged.
-        outcome.departures = survivors;
     }
 }
 

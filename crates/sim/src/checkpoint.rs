@@ -1,491 +1,299 @@
 //! Checkpoint journals for resumable sweeps.
 //!
-//! A journal is a human-readable text file with one line per finished grid
-//! cell, written incrementally as a sweep runs and replayed on `--resume`
-//! to skip work that already completed. The format is append-only and
-//! crash-tolerant: a process killed mid-write leaves at most one torn
-//! final line, which the loader simply treats as not-yet-run (the cell is
-//! deterministic, so re-running it reproduces the identical row).
+//! A journal is an append-only log in the arrival WAL's framing,
+//! `u32 len | payload | u32 crc32(payload)` (the sealing function and the
+//! valid-prefix reader live in [`crate::recover`]), with every payload
+//! encoded by the checkpoint codec ([`StateWriter`]/[`StateReader`]). It
+//! is written as a sweep runs, one record per completed cell, and read on
+//! `--resume` to skip the cells that already completed.
 //!
-//! ```text
-//! # fifoms sweep journal v1
-//! # grid=<hex16> cells=<count> seed=<seed> n=<n>
-//! cell=3  key=<hex16>  status=ok  load=0.4  sw=FIFOMS  ... result fields ...
-//! cell=5  key=<hex16>  status=failed  attempts=2  reason=panic  msg=...
-//! ```
+//! * **Header** (record 0): an `FMCK` envelope of kind
+//!   `fifoms-sweep-journal` holding the sweep's *identity* — everything
+//!   that determines its result set: switch size, seed, run
+//!   configuration, scheduler list, load points and the fault schedule.
+//!   Timeouts, retry budgets and the check interval only affect failure
+//!   detection and may change between a run and its resume, so they stay
+//!   out. A resume compares the identity bytes exactly.
+//! * **Cell record**: the cell index, the grid fingerprint (the `crc32`
+//!   of the identity), the load and every [`RunResult`] field, floats as
+//!   bit patterns, so a resumed row is bit-identical to the row that was
+//!   written. A record whose fingerprint or index does not belong to the
+//!   sweep is a [`SimError::JournalMismatch`]; of duplicate records the
+//!   last wins.
 //!
-//! Every line is tab-separated `key=value` tokens. Free-text values
-//! (names, panic messages) are sanitised so they cannot contain tabs or
-//! newlines. Floating-point values are written with Rust's shortest
-//! round-trip formatting, so a parsed row is bit-identical to the row that
-//! was written — the property the resume-equivalence test relies on.
-//!
-//! Identity is established by two FNV-1a hashes:
-//!
-//! * the **grid hash** covers everything that determines the result set —
-//!   switch size, seed, scheduler list, load points, run configuration and
-//!   the fault-injection schedule (but *not* timeouts or retry budgets,
-//!   which only affect failure detection and may legitimately change
-//!   between a run and its resume);
-//! * the **cell key** additionally binds a line to its grid position, so a
-//!   journal from a reordered or edited sweep is rejected rather than
-//!   silently misattributed.
-//!
-//! Completed cells are reused on resume; failed cells are re-run (their
-//! journal line records the failure for forensics, but a resume is the
-//! natural moment to retry them, e.g. with a longer `--cell-timeout`).
+//! A resume reads the valid prefix — the records before the first one
+//! that fails its length or CRC check — and cuts the file back to it
+//! before appending, so a tail torn by a killed run can never run into
+//! the next record. Cells after the prefix re-run, which reproduces their
+//! rows exactly because every cell is deterministically seeded. Only
+//! completed cells are journaled: a failed cell always re-runs.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::Write;
 use std::sync::Mutex;
 
 use fifoms_stats::{DelaySummary, OccupancySummary, SaturationVerdict};
-use fifoms_types::SimError;
+use fifoms_types::{
+    crc32, frame_state, unframe_state, SimError, StateError, StateReader, StateWriter,
+};
 
 use crate::engine::RunResult;
-use crate::guard::CellFailureReason;
-use crate::sweep::{CellOutcome, CellPolicy, FailedCell, Sweep, SweepRow};
+use crate::recover::{seal_record, valid_records};
+use crate::sweep::{CellPolicy, Sweep, SweepRow};
 
-const MAGIC: &str = "# fifoms sweep journal v1";
+/// Envelope kind of the header record.
+const JOURNAL_KIND: &str = "fifoms-sweep-journal";
+/// Layout version of the header and cell records.
+const JOURNAL_V1: u16 = 1;
+/// Verdicts in declaration order, so a verdict's record tag is
+/// `verdict as u8`.
+const VERDICTS: [SaturationVerdict; 3] = [
+    SaturationVerdict::Stable,
+    SaturationVerdict::Saturated,
+    SaturationVerdict::CapExceeded,
+];
 
-/// FNV-1a over a byte stream.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xff]); // field separator
-    }
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// Hash of everything that determines a sweep's result set.
-pub(crate) fn grid_hash(sweep: &Sweep, policy: &CellPolicy) -> u64 {
-    let mut h = Fnv::new();
-    h.write_str(&format!("n={}", sweep.n));
-    h.write_str(&format!("seed={}", sweep.seed));
-    h.write_str(&format!(
-        "run={},{},{},{}",
-        sweep.run.slots, sweep.run.warmup, sweep.run.backlog_cap, sweep.run.sample_every
-    ));
+// FINGERPRINT: the sweep's identity, compared byte for byte on resume.
+// Loads travel as bit patterns; the `Debug` renderings of the scheduler,
+// workload and fault specs print their floats in shortest round-trip form.
+fn sweep_identity(sweep: &Sweep, policy: &CellPolicy) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    w.put_usize(sweep.n);
+    w.put_u64(sweep.seed);
+    w.put_u64(sweep.run.slots);
+    w.put_u64(sweep.run.warmup);
+    w.put_usize(sweep.run.backlog_cap);
+    w.put_u64(sweep.run.sample_every);
+    w.put_usize(sweep.switches.len());
     for sk in &sweep.switches {
-        h.write_str(&format!("switch={sk:?}"));
+        w.put_str(&format!("{sk:?}"));
     }
+    w.put_usize(sweep.points.len());
     for (load, tk) in &sweep.points {
-        h.write_str(&format!("point={},{tk:?}", load.to_bits()));
+        w.put_u64(load.to_bits());
+        w.put_str(&format!("{tk:?}"));
     }
-    // The fault schedule changes results; checking/timeouts/retries don't.
-    h.write_str(&format!("faults={}", fault_fingerprint(policy.faults.as_ref())));
-    h.finish()
+    w.put_str(&format!("{:?}", policy.faults));
+    w.into_bytes()
 }
 
-/// Render the fault schedule for the grid hash.
-///
-/// Ingress configs with no retry budget are rendered in the field set the
-/// struct had before the egress fault model existed, so journals written
-/// by earlier releases keep their grid hash and stay resumable. Egress
-/// configs (or a nonzero retry budget) genuinely change the result set
-/// and get the full rendering.
-fn fault_fingerprint(faults: Option<&fifoms_fabric::FaultConfig>) -> String {
-    use fifoms_fabric::FaultMode;
-    match faults {
-        None => "None".to_string(),
-        Some(fc) if fc.mode == FaultMode::Ingress && fc.retry_budget == 0 => format!(
-            "Some(FaultConfig {{ seed: {}, flap_period: {}, flap_duration: {}, \
-             crosspoint_faults: {}, crosspoint_at: {}, crosspoint_duration: {} }})",
-            fc.seed,
-            fc.flap_period,
-            fc.flap_duration,
-            fc.crosspoint_faults,
-            fc.crosspoint_at,
-            fc.crosspoint_duration
-        ),
-        Some(fc) => format!("Some({fc:?})"),
+/// The identity a header record carries, if `payload` is one.
+fn header_identity(payload: &[u8]) -> Option<&[u8]> {
+    let envelope = StateReader::new(payload).get_bytes().ok()?;
+    match unframe_state(envelope, JOURNAL_KIND) {
+        Ok((JOURNAL_V1, identity)) => Some(identity),
+        _ => None,
     }
 }
 
-/// Key binding one journal line to one grid cell of one sweep.
-pub(crate) fn cell_key(grid: u64, idx: usize, sweep: &Sweep) -> u64 {
-    let points = sweep.points.len().max(1);
-    let (si, pi) = (idx / points, idx % points);
-    let mut h = Fnv::new();
-    h.write(&grid.to_le_bytes());
-    h.write_str(&format!("cell={idx}"));
-    if let (Some(sk), Some((load, tk))) = (sweep.switches.get(si), sweep.points.get(pi)) {
-        h.write_str(&format!("{sk:?}"));
-        h.write_str(&format!("{},{tk:?}", load.to_bits()));
-    }
-    h.finish()
-}
-
-/// Replace characters that would break the line format.
-fn sanitize(s: &str) -> String {
-    s.replace(['\t', '\n', '\r'], " ")
-}
-
-fn fmt_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "none".into(), |x| x.to_string())
-}
-
-fn fmt_opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "none".into(), |x| x.to_string())
-}
-
-fn verdict_str(v: SaturationVerdict) -> &'static str {
-    match v {
-        SaturationVerdict::Stable => "stable",
-        SaturationVerdict::Saturated => "saturated",
-        SaturationVerdict::CapExceeded => "cap",
-    }
-}
-
-/// Serialise one cell outcome as a journal line (no trailing newline).
-pub(crate) fn encode_line(idx: usize, key: u64, outcome: &CellOutcome) -> String {
-    let mut t = vec![format!("cell={idx}"), format!("key={key:016x}")];
-    match outcome {
-        CellOutcome::Completed(row) => {
-            let r = &row.result;
-            t.push("status=ok".into());
-            t.push(format!("load={}", row.load));
-            t.push(format!("sw={}", sanitize(&r.switch_name)));
-            t.push(format!("tr={}", sanitize(&r.traffic_name)));
-            t.push(format!("ol={}", fmt_opt_f64(r.offered_load)));
-            let wl = r
-                .workload
-                .iter()
-                .map(|(k, v)| format!("{}:{v}", sanitize(k).replace([';', ':'], " ")))
-                .collect::<Vec<_>>()
-                .join(";");
-            t.push(format!("wl={wl}"));
-            t.push(format!("din={}", r.delay.mean_input_oriented));
-            t.push(format!("dout={}", r.delay.mean_output_oriented));
-            t.push(format!("p99={}", fmt_opt_u64(r.delay.p99_output)));
-            t.push(format!("dmax={}", fmt_opt_u64(r.delay.max_output)));
-            t.push(format!("done={}", r.delay.completed_packets));
-            t.push(format!("dcop={}", r.delay.delivered_copies));
-            t.push(format!("qmean={}", r.occupancy.mean));
-            t.push(format!("qmax={}", r.occupancy.max));
-            t.push(format!("qslots={}", r.occupancy.slots_sampled));
-            t.push(format!("rounds={}", r.mean_rounds));
-            t.push(format!("verdict={}", verdict_str(r.verdict)));
-            t.push(format!("slots={}", r.slots_run));
-            t.push(format!("adm={}", r.packets_admitted));
-            t.push(format!("cdel={}", r.copies_delivered));
-            t.push(format!("thr={}", r.throughput));
+/// One completed cell as a sealed record.
+fn cell_record(fingerprint: u32, idx: usize, row: &SweepRow) -> Vec<u8> {
+    let r = &row.result;
+    seal_record(Vec::new(), |w| {
+        w.put_u32(fingerprint);
+        w.put_usize(idx);
+        w.put_f64(row.load);
+        w.put_str(&r.switch_name);
+        w.put_str(&r.traffic_name);
+        w.put_opt_u64(r.offered_load.map(f64::to_bits));
+        w.put_usize(r.workload.len());
+        for (name, value) in &r.workload {
+            w.put_str(name);
+            w.put_f64(*value);
         }
-        CellOutcome::Failed(f) => {
-            t.push("status=failed".into());
-            t.push(format!("load={}", f.load));
-            t.push(format!("attempts={}", f.attempts));
-            match &f.reason {
-                CellFailureReason::Panic(msg) => {
-                    t.push("reason=panic".into());
-                    t.push(format!("msg={}", sanitize(msg)));
-                }
-                CellFailureReason::Timeout { millis } => {
-                    t.push("reason=timeout".into());
-                    t.push(format!("msg=cell exceeded {millis} ms"));
-                }
-                CellFailureReason::Error(msg) => {
-                    t.push("reason=error".into());
-                    t.push(format!("msg={}", sanitize(msg)));
-                }
-            }
-        }
+        w.put_f64(r.delay.mean_input_oriented);
+        w.put_f64(r.delay.mean_output_oriented);
+        w.put_opt_u64(r.delay.p99_output);
+        w.put_opt_u64(r.delay.max_output);
+        w.put_u64(r.delay.completed_packets);
+        w.put_u64(r.delay.delivered_copies);
+        w.put_f64(r.occupancy.mean);
+        w.put_usize(r.occupancy.max);
+        w.put_u64(r.occupancy.slots_sampled);
+        w.put_f64(r.mean_rounds);
+        w.put_u8(r.verdict as u8);
+        w.put_u64(r.slots_run);
+        w.put_u64(r.packets_admitted);
+        w.put_u64(r.copies_delivered);
+        w.put_f64(r.throughput);
+    })
+}
+
+/// Decode a cell record's payload into `(fingerprint, index, load,
+/// result)`.
+fn decode_cell(payload: &[u8]) -> Result<(u32, usize, f64, RunResult), StateError> {
+    let mut r = StateReader::new(payload);
+    let fingerprint = r.get_u32()?;
+    let idx = r.get_usize()?;
+    let load = r.get_f64()?;
+    let switch_name = r.get_str()?.to_string();
+    let traffic_name = r.get_str()?.to_string();
+    let offered_load = r.get_opt_u64()?.map(f64::from_bits);
+    let mut workload = Vec::new();
+    for _ in 0..r.get_usize()? {
+        workload.push((r.get_str()?.to_string(), r.get_f64()?));
     }
-    t.join("\t")
-}
-
-/// One token of a journal line.
-fn field<'a>(tokens: &'a [(&str, &str)], key: &str) -> Result<&'a str, String> {
-    tokens
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("missing field {key}"))
-}
-
-fn parse_num<T: std::str::FromStr>(tokens: &[(&str, &str)], key: &str) -> Result<T, String> {
-    let raw = field(tokens, key)?;
-    raw.parse()
-        .map_err(|_| format!("bad value {raw} for {key}"))
-}
-
-fn parse_opt_f64(tokens: &[(&str, &str)], key: &str) -> Result<Option<f64>, String> {
-    let raw = field(tokens, key)?;
-    if raw == "none" {
-        return Ok(None);
-    }
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("bad value {raw} for {key}"))
-}
-
-/// Decode the `wl=` workload-provenance field. Journals written before the
-/// field existed simply lack it; those rows decode with an empty workload
-/// rather than failing, so PR 1 journals stay resumable.
-fn parse_workload(tokens: &[(&str, &str)]) -> Result<Vec<(String, f64)>, String> {
-    let raw = field(tokens, "wl").unwrap_or("");
-    let mut out = Vec::new();
-    for pair in raw.split(';').filter(|p| !p.is_empty()) {
-        let (k, v) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("bad workload pair {pair}"))?;
-        let num: f64 = v.parse().map_err(|_| format!("bad workload value {v}"))?;
-        out.push((k.to_string(), num));
-    }
-    Ok(out)
-}
-
-fn parse_opt_u64(tokens: &[(&str, &str)], key: &str) -> Result<Option<u64>, String> {
-    let raw = field(tokens, key)?;
-    if raw == "none" {
-        return Ok(None);
-    }
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("bad value {raw} for {key}"))
-}
-
-/// Parse one journal line back into `(cell index, outcome)`.
-///
-/// `Err` means the line is torn or malformed (ignorable); a parseable line
-/// whose key disagrees with the sweep is reported through `key_mismatch`
-/// by the caller instead.
-pub(crate) fn decode_line(line: &str, sweep: &Sweep) -> Result<(usize, u64, CellOutcome), String> {
-    let tokens: Vec<(&str, &str)> = line
-        .split('\t')
-        .filter_map(|tok| tok.split_once('='))
-        .collect();
-    let idx: usize = parse_num(&tokens, "cell")?;
-    let key = u64::from_str_radix(field(&tokens, "key")?, 16).map_err(|_| "bad key")?;
-    let points = sweep.points.len().max(1);
-    let sk = *sweep
-        .switches
-        .get(idx / points)
-        .ok_or("cell index out of range")?;
-    let load: f64 = parse_num(&tokens, "load")?;
-    let outcome = match field(&tokens, "status")? {
-        "ok" => CellOutcome::Completed(SweepRow {
-            switch: sk,
-            load,
-            result: RunResult {
-                switch_name: field(&tokens, "sw")?.to_string(),
-                traffic_name: field(&tokens, "tr")?.to_string(),
-                offered_load: parse_opt_f64(&tokens, "ol")?,
-                workload: parse_workload(&tokens)?,
-                delay: DelaySummary {
-                    mean_input_oriented: parse_num(&tokens, "din")?,
-                    mean_output_oriented: parse_num(&tokens, "dout")?,
-                    p99_output: parse_opt_u64(&tokens, "p99")?,
-                    max_output: parse_opt_u64(&tokens, "dmax")?,
-                    completed_packets: parse_num(&tokens, "done")?,
-                    delivered_copies: parse_num(&tokens, "dcop")?,
-                },
-                occupancy: OccupancySummary {
-                    mean: parse_num(&tokens, "qmean")?,
-                    max: parse_num(&tokens, "qmax")?,
-                    slots_sampled: parse_num(&tokens, "qslots")?,
-                },
-                mean_rounds: parse_num(&tokens, "rounds")?,
-                verdict: match field(&tokens, "verdict")? {
-                    "stable" => SaturationVerdict::Stable,
-                    "saturated" => SaturationVerdict::Saturated,
-                    "cap" => SaturationVerdict::CapExceeded,
-                    other => return Err(format!("bad verdict {other}")),
-                },
-                slots_run: parse_num(&tokens, "slots")?,
-                packets_admitted: parse_num(&tokens, "adm")?,
-                copies_delivered: parse_num(&tokens, "cdel")?,
-                throughput: parse_num(&tokens, "thr")?,
-            },
-        }),
-        "failed" => {
-            let msg = field(&tokens, "msg").unwrap_or("").to_string();
-            let reason = match field(&tokens, "reason")? {
-                "panic" => CellFailureReason::Panic(msg),
-                "timeout" => CellFailureReason::Timeout {
-                    millis: msg
-                        .split_whitespace()
-                        .nth(2)
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or(0),
-                },
-                "error" => CellFailureReason::Error(msg),
-                other => return Err(format!("bad reason {other}")),
-            };
-            CellOutcome::Failed(FailedCell {
-                switch: sk,
-                load,
-                attempts: parse_num(&tokens, "attempts")?,
-                reason,
-            })
-        }
-        other => return Err(format!("bad status {other}")),
+    let result = RunResult {
+        switch_name,
+        traffic_name,
+        offered_load,
+        workload,
+        delay: DelaySummary {
+            mean_input_oriented: r.get_f64()?,
+            mean_output_oriented: r.get_f64()?,
+            p99_output: r.get_opt_u64()?,
+            max_output: r.get_opt_u64()?,
+            completed_packets: r.get_u64()?,
+            delivered_copies: r.get_u64()?,
+        },
+        occupancy: OccupancySummary {
+            mean: r.get_f64()?,
+            max: r.get_usize()?,
+            slots_sampled: r.get_u64()?,
+        },
+        mean_rounds: r.get_f64()?,
+        verdict: {
+            let tag = r.get_u8()?;
+            *VERDICTS
+                .get(usize::from(tag))
+                .ok_or_else(|| StateError::Malformed {
+                    what: format!("verdict tag {tag}"),
+                })?
+        },
+        slots_run: r.get_u64()?,
+        packets_admitted: r.get_u64()?,
+        copies_delivered: r.get_u64()?,
+        throughput: r.get_f64()?,
     };
-    Ok((idx, key, outcome))
+    r.expect_exhausted()?;
+    Ok((fingerprint, idx, load, result))
 }
 
-/// An open, append-mode checkpoint journal.
+fn io_err(path: &str, e: std::io::Error) -> SimError {
+    SimError::Journal {
+        path: path.to_string(),
+        message: e.to_string(),
+    }
+}
+
+fn mismatch(message: String) -> SimError {
+    SimError::JournalMismatch { message }
+}
+
+/// An open checkpoint journal, positioned for appending.
 ///
-/// Appends are serialised through an internal mutex and flushed per line,
-/// so parallel workers can record cells directly and a killed process
-/// loses at most the line being written.
+/// Each record reaches the file in a single write, serialised through an
+/// internal mutex, so parallel workers can record cells directly and a
+/// killed process tears at most the record being written.
 pub struct CheckpointJournal {
     path: String,
-    grid: u64,
-    writer: Mutex<BufWriter<File>>,
+    /// `crc32` of the sweep identity, stamped on every cell record.
+    fingerprint: u32,
+    file: Mutex<File>,
 }
 
 impl CheckpointJournal {
-    fn io_err(path: &str, e: impl std::fmt::Display) -> SimError {
-        SimError::Journal {
-            path: path.to_string(),
-            message: e.to_string(),
-        }
-    }
-
-    /// Create (truncate) a journal for `sweep` at `path`.
+    /// Create (truncate) a journal for `sweep` at `path` and write its
+    /// header.
     pub fn create(
         path: &str,
         sweep: &Sweep,
         policy: &CellPolicy,
     ) -> Result<CheckpointJournal, SimError> {
-        let grid = grid_hash(sweep, policy);
-        let file = File::create(path).map_err(|e| Self::io_err(path, e))?;
-        let mut writer = BufWriter::new(file);
-        let cells = sweep.switches.len() * sweep.points.len();
-        writeln!(writer, "{MAGIC}").map_err(|e| Self::io_err(path, e))?;
-        writeln!(
-            writer,
-            "# grid={grid:016x} cells={cells} seed={} n={}",
-            sweep.seed, sweep.n
-        )
-        .map_err(|e| Self::io_err(path, e))?;
-        writer.flush().map_err(|e| Self::io_err(path, e))?;
+        let identity = sweep_identity(sweep, policy);
+        let header = seal_record(Vec::new(), |w| {
+            w.put_bytes(&frame_state(JOURNAL_KIND, JOURNAL_V1, &identity));
+        });
+        let mut file = File::create(path).map_err(|e| io_err(path, e))?;
+        file.write_all(&header).map_err(|e| io_err(path, e))?;
         Ok(CheckpointJournal {
             path: path.to_string(),
-            grid,
-            writer: Mutex::new(writer),
+            fingerprint: crc32(&identity),
+            file: Mutex::new(file),
         })
     }
 
-    /// Open an existing journal, validate it against `sweep`, and return
-    /// the journal (positioned for appending) plus the per-cell outcomes
-    /// it already holds. Missing file ⇒ fresh journal with no outcomes.
+    /// Open an existing journal, validate it against `sweep`, cut it back
+    /// to its valid prefix and return it (positioned for appending) with
+    /// the completed rows it holds, by grid index. A missing file starts a
+    /// fresh journal with no rows.
     ///
-    /// Torn or malformed lines are skipped (their cells simply re-run);
-    /// a line whose cell key disagrees with this sweep is a hard
-    /// [`SimError::JournalMismatch`] — the journal belongs to a different
-    /// grid and reusing it would silently misattribute results.
-    #[allow(clippy::type_complexity)]
+    /// A file without this sweep's header (another sweep's journal, a text
+    /// journal of an earlier release, any other file) or with a cell
+    /// record of another grid is a hard [`SimError::JournalMismatch`]:
+    /// reusing it would silently misattribute results.
     pub fn resume(
         path: &str,
         sweep: &Sweep,
         policy: &CellPolicy,
-    ) -> Result<(CheckpointJournal, Vec<Option<CellOutcome>>), SimError> {
+    ) -> Result<(CheckpointJournal, Vec<Option<SweepRow>>), SimError> {
         let cells = sweep.switches.len() * sweep.points.len();
         if !std::path::Path::new(path).exists() {
             return Ok((Self::create(path, sweep, policy)?, vec![None; cells]));
         }
-        let grid = grid_hash(sweep, policy);
-        let mut text = String::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| Self::io_err(path, e))?;
-        // A file that does not end in '\n' was torn mid-append. The torn
-        // tail must be discarded even when it *parses*: a prefix of a
-        // valid line can decode with a silently truncated numeric field
-        // (`thr=0.95` torn to `thr=0.9`), which would poison the resumed
-        // grid with a wrong-but-plausible row.
-        let torn_tail = !text.is_empty() && !text.ends_with('\n');
-        let mut all_lines: Vec<&str> = text.lines().collect();
-        if torn_tail {
-            if let Some(torn) = all_lines.pop() {
-                eprintln!(
-                    "warning: {path}: discarding torn final journal line \
-                     ({} bytes); its cell will re-run",
-                    torn.len()
-                );
-            }
-        }
-        let mut lines = all_lines.into_iter();
-        let magic_ok = lines.next().is_some_and(|l| l.trim_end() == MAGIC);
-        if !magic_ok {
-            return Err(SimError::JournalMismatch {
-                message: format!("{path} is not a sweep journal"),
-            });
-        }
-        let header = lines.next().unwrap_or("");
-        let header_grid = header
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix("grid="))
-            .and_then(|v| u64::from_str_radix(v, 16).ok());
-        if header_grid != Some(grid) {
-            let found = header_grid.map_or_else(|| "missing".to_string(), |g| format!("{g:016x}"));
-            return Err(SimError::JournalMismatch {
-                message: format!(
+        let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
+        let (records, valid_len) = valid_records(&bytes);
+        let identity = sweep_identity(sweep, policy);
+        let fingerprint = crc32(&identity);
+        match records.first().and_then(|header| header_identity(header)) {
+            None => return Err(mismatch(format!("{path} is not a sweep journal"))),
+            Some(found) if found != identity => {
+                return Err(mismatch(format!(
                     "{path} was written for a different sweep \
-                     (grid {found} vs expected {grid:016x})"
-                ),
-            });
+                     (fingerprint {:08x} vs expected {fingerprint:08x})",
+                    crc32(found)
+                )))
+            }
+            Some(_) => {}
         }
-        let mut loaded: Vec<Option<CellOutcome>> = vec![None; cells];
-        for line in lines {
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Ok((idx, key, outcome)) = decode_line(line, sweep) else {
-                continue; // torn final line from a killed run
+        let mut loaded = vec![None; cells];
+        for (k, payload) in records.iter().enumerate().skip(1) {
+            let cell = decode_cell(payload)
+                .ok()
+                .filter(|&(fp, idx, ..)| fp == fingerprint && idx < cells);
+            let Some((_, idx, load, result)) = cell else {
+                return Err(mismatch(format!(
+                    "{path}: record {k} is not a cell of this sweep \
+                     (fingerprint {fingerprint:08x})"
+                )));
             };
-            if idx >= cells || key != cell_key(grid, idx, sweep) {
-                return Err(SimError::JournalMismatch {
-                    message: format!("{path}: cell {idx} keyed for a different sweep"),
-                });
-            }
-            loaded[idx] = Some(outcome); // duplicates: last write wins
+            loaded[idx] = Some(SweepRow {
+                switch: sweep.switches[idx / sweep.points.len()],
+                load,
+                result,
+            });
         }
         let file = OpenOptions::new()
             .append(true)
             .open(path)
-            .map_err(|e| Self::io_err(path, e))?;
+            .map_err(|e| io_err(path, e))?;
+        if valid_len < bytes.len() {
+            eprintln!(
+                "warning: {path}: cutting {} torn byte(s) after the last whole \
+                 record; the cells they held will re-run",
+                bytes.len() - valid_len
+            );
+            file.set_len(valid_len as u64)
+                .map_err(|e| io_err(path, e))?;
+        }
         Ok((
             CheckpointJournal {
                 path: path.to_string(),
-                grid,
-                writer: Mutex::new(BufWriter::new(file)),
+                fingerprint,
+                file: Mutex::new(file),
             },
             loaded,
         ))
     }
 
-    /// Append one finished cell and flush it to disk.
-    pub fn record(&self, idx: usize, sweep: &Sweep, outcome: &CellOutcome) -> Result<(), SimError> {
-        let line = encode_line(idx, cell_key(self.grid, idx, sweep), outcome);
+    /// Append one completed cell in a single write.
+    pub fn record(&self, idx: usize, row: &SweepRow) -> Result<(), SimError> {
+        let record = cell_record(self.fingerprint, idx, row);
         // Recover rather than propagate poisoning: the journal itself never
-        // panics while holding the lock, and a poisoned-but-intact writer
+        // panics while holding the lock, and a poisoned-but-intact file
         // is still the right place to append.
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        writeln!(writer, "{line}")
-            .and_then(|()| writer.flush())
-            .map_err(|e| Self::io_err(&self.path, e))
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &str {
-        &self.path
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        file.write_all(&record).map_err(|e| io_err(&self.path, e))
     }
 }
 
@@ -508,211 +316,293 @@ mod tests {
         }
     }
 
-    fn sample_row(sweep: &Sweep) -> CellOutcome {
+    fn sample_row(sweep: &Sweep) -> SweepRow {
         let (load, tk) = sweep.points[1];
         let mut sw = sweep.switches[0].build(sweep.n, 1);
         let mut tr = tk.build(sweep.n, 2);
         let result = crate::engine::simulate(sw.as_mut(), tr.as_mut(), &sweep.run);
-        CellOutcome::Completed(SweepRow {
+        SweepRow {
             switch: sweep.switches[0],
             load,
             result,
-        })
+        }
+    }
+
+    fn temp_path(name: &str) -> String {
+        let dir = std::env::temp_dir().join("fifoms-journal-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name).to_str().unwrap().to_string()
+    }
+
+    fn resume_err(path: &str, s: &Sweep, p: &CellPolicy) -> SimError {
+        CheckpointJournal::resume(path, s, p)
+            .map(|_| ())
+            .expect_err("resume must refuse this file")
     }
 
     #[test]
     fn encode_decode_roundtrips_exactly() {
         let s = sweep();
-        let outcome = sample_row(&s);
-        let key = cell_key(grid_hash(&s, &CellPolicy::default()), 1, &s);
-        let line = encode_line(1, key, &outcome);
-        let (idx, k, decoded) = decode_line(&line, &s).expect("parse");
-        assert_eq!((idx, k), (1, key));
-        let (CellOutcome::Completed(a), CellOutcome::Completed(b)) = (&outcome, &decoded) else {
-            panic!("wrong status");
-        };
-        assert_eq!(a.switch, b.switch);
-        assert_eq!(a.load, b.load);
-        assert_eq!(format!("{:?}", a.result), format!("{:?}", b.result));
-    }
+        let row = sample_row(&s);
+        // Every verdict, and the optional fields both present and absent.
+        let mut saturated = row.clone();
+        saturated.result.verdict = SaturationVerdict::Saturated;
+        saturated.result.offered_load = None;
+        let mut capped = row.clone();
+        capped.result.verdict = SaturationVerdict::CapExceeded;
+        capped.result.delay.p99_output = None;
+        capped.result.delay.max_output = None;
+        capped.result.workload.clear();
+        for (idx, want) in [(1, &row), (2, &saturated), (3, &capped)] {
+            let record = cell_record(0xfeed_f00d, idx, want);
+            let (payloads, valid_len) = valid_records(&record);
+            assert_eq!((payloads.len(), valid_len), (1, record.len()));
+            let payload = payloads[0];
+            let (fingerprint, got_idx, load, result) = decode_cell(payload).expect("decode");
+            assert_eq!((fingerprint, got_idx), (0xfeed_f00d, idx));
+            assert_eq!(load.to_bits(), want.load.to_bits());
+            assert_eq!(format!("{result:?}"), format!("{:?}", want.result));
 
-    #[test]
-    fn lines_without_workload_field_still_decode() {
-        // Journals written before the `wl=` field existed must stay
-        // resumable; a missing field decodes as an empty workload.
-        let s = sweep();
-        let outcome = sample_row(&s);
-        let line = encode_line(1, 3, &outcome);
-        let stripped: String = line
-            .split('\t')
-            .filter(|tok| !tok.starts_with("wl="))
-            .collect::<Vec<_>>()
-            .join("\t");
-        assert_ne!(line, stripped, "encoded line should carry wl=");
-        let (_, _, decoded) = decode_line(&stripped, &s).expect("legacy line parses");
-        let CellOutcome::Completed(row) = decoded else {
-            panic!("wrong status");
-        };
-        assert!(row.result.workload.is_empty());
-    }
-
-    #[test]
-    fn failed_rows_roundtrip() {
-        let s = sweep();
-        for reason in [
-            CellFailureReason::Panic("index out of bounds: len 4".into()),
-            CellFailureReason::Timeout { millis: 1500 },
-            CellFailureReason::Error("invalid port count 0: must be in 1..=4096".into()),
-        ] {
-            let outcome = CellOutcome::Failed(FailedCell {
-                switch: s.switches[1],
-                load: 0.2,
-                attempts: 3,
-                reason: reason.clone(),
-            });
-            let line = encode_line(2, 1, &outcome);
-            let (_, _, decoded) = decode_line(&line, &s).expect("parse");
-            let CellOutcome::Failed(f) = decoded else {
-                panic!("wrong status");
-            };
-            assert_eq!(f.attempts, 3);
-            assert_eq!(f.reason, reason);
+            // A cut or padded payload and an unknown verdict tag are
+            // errors, never a row.
+            for cut in 0..payload.len() {
+                assert!(decode_cell(&payload[..cut]).is_err(), "cut at byte {cut}");
+            }
+            let mut padded = payload.to_vec();
+            padded.push(0);
+            assert!(matches!(
+                decode_cell(&padded),
+                Err(StateError::TrailingBytes { .. })
+            ));
+            // The tag precedes three counters and the throughput.
+            let tag_at = payload.len() - 33;
+            assert_eq!(payload[tag_at], want.result.verdict as u8);
+            let mut bad_tag = payload.to_vec();
+            bad_tag[tag_at] = VERDICTS.len() as u8;
+            assert!(matches!(
+                decode_cell(&bad_tag),
+                Err(StateError::Malformed { .. })
+            ));
         }
-    }
-
-    #[test]
-    fn resume_discards_a_byte_truncated_final_line() {
-        let dir = std::env::temp_dir().join("fifoms-journal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("truncated.journal");
-        let path = path.to_str().unwrap();
-        let s = sweep();
-        let p = CellPolicy::default();
-        let outcome = sample_row(&s);
-        {
-            let journal = CheckpointJournal::create(path, &s, &p).unwrap();
-            journal.record(0, &s, &outcome).unwrap();
-            journal.record(1, &s, &outcome).unwrap();
-        }
-        let full = std::fs::read(path).unwrap();
-        // Truncate the final line at every byte offset, including cuts
-        // that leave a *parseable* prefix (e.g. a shortened float); the
-        // resume must never surface cell 1 from a torn tail, and cell 0
-        // (safely newline-terminated) must always survive.
-        let line_start = full[..full.len() - 1]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .unwrap()
-            + 1;
-        for cut in line_start..full.len() - 1 {
-            std::fs::write(path, &full[..cut]).unwrap();
-            let (_j, loaded) = CheckpointJournal::resume(path, &s, &p)
-                .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
-            assert!(loaded[0].is_some(), "cut at byte {cut} lost cell 0");
-            assert!(loaded[1].is_none(), "cut at byte {cut} resurrected the torn cell");
-        }
-        // The intact file still loads both.
-        std::fs::write(path, &full).unwrap();
-        let (_j, loaded) = CheckpointJournal::resume(path, &s, &p).unwrap();
-        assert!(loaded[0].is_some() && loaded[1].is_some());
-    }
-
-    #[test]
-    fn ingress_fault_fingerprint_keeps_the_pre_egress_shape() {
-        // Grid hashes of ingress-mode schedules must not change now that
-        // FaultConfig carries egress fields, or old journals with fault
-        // sweeps would refuse to resume.
-        let fc = fifoms_fabric::FaultConfig::moderate(3);
-        assert_eq!(
-            fault_fingerprint(Some(&fc)),
-            "Some(FaultConfig { seed: 3, flap_period: 1000, flap_duration: 50, \
-             crosspoint_faults: 2, crosspoint_at: 500, crosspoint_duration: 2000 })"
-        );
-        // Egress mode (and a retry budget) genuinely change the results,
-        // so they must change the fingerprint.
-        let eg = fifoms_fabric::FaultConfig::egress(3);
-        assert_ne!(fault_fingerprint(Some(&eg)), fault_fingerprint(Some(&fc)));
-        let mut budgeted = fc;
-        budgeted.retry_budget = 1;
-        assert_ne!(fault_fingerprint(Some(&budgeted)), fault_fingerprint(Some(&fc)));
-    }
-
-    #[test]
-    fn grid_hash_tracks_result_affecting_fields_only() {
-        let s = sweep();
-        let p = CellPolicy::default();
-        let base = grid_hash(&s, &p);
-        let mut s2 = s.clone();
-        s2.seed = 8;
-        assert_ne!(base, grid_hash(&s2, &p));
-        let mut s3 = s.clone();
-        s3.run.slots = 4_000;
-        assert_ne!(base, grid_hash(&s3, &p));
-        let mut p2 = p.clone();
-        p2.faults = Some(fifoms_fabric::FaultConfig::moderate(1));
-        assert_ne!(base, grid_hash(&s, &p2));
-        // Timeout and retry budgets do not invalidate a journal.
-        let mut p3 = p.clone();
-        p3.timeout = Some(std::time::Duration::from_secs(5));
-        p3.retries = 9;
-        assert_eq!(base, grid_hash(&s, &p3));
-    }
-
-    #[test]
-    fn resume_rejects_foreign_and_corrupt_journals() {
-        let dir = std::env::temp_dir().join("fifoms-journal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let s = sweep();
-        let p = CellPolicy::default();
-
-        // Not a journal at all.
-        let bogus = dir.join("bogus.journal");
-        std::fs::write(&bogus, "hello\nworld\n").unwrap();
-        let err = CheckpointJournal::resume(bogus.to_str().unwrap(), &s, &p)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, SimError::JournalMismatch { .. }), "{err}");
-
-        // A journal for a different sweep.
-        let other = dir.join("other.journal");
-        let mut s2 = s.clone();
-        s2.seed = 99;
-        CheckpointJournal::create(other.to_str().unwrap(), &s2, &p).unwrap();
-        let err = CheckpointJournal::resume(other.to_str().unwrap(), &s, &p)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, SimError::JournalMismatch { .. }), "{err}");
     }
 
     #[test]
     fn journal_records_and_reloads_cells() {
-        let dir = std::env::temp_dir().join("fifoms-journal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reload.journal");
-        let path = path.to_str().unwrap();
+        let path = temp_path("reload.journal");
         let s = sweep();
         let p = CellPolicy::default();
-        let outcome = sample_row(&s);
+        let row = sample_row(&s);
+        let mut saturated = row.clone();
+        saturated.result.verdict = SaturationVerdict::Saturated;
         {
-            let journal = CheckpointJournal::create(path, &s, &p).unwrap();
-            journal.record(1, &s, &outcome).unwrap();
+            let journal = CheckpointJournal::create(&path, &s, &p).unwrap();
+            journal.record(0, &row).unwrap();
+            journal.record(2, &row).unwrap();
+            journal.record(2, &saturated).unwrap(); // duplicates: the last wins
         }
-        let (_journal, loaded) = CheckpointJournal::resume(path, &s, &p).unwrap();
+        let (_journal, loaded) = CheckpointJournal::resume(&path, &s, &p).unwrap();
         assert_eq!(loaded.len(), 4);
-        assert!(loaded[0].is_none() && loaded[2].is_none() && loaded[3].is_none());
-        let Some(CellOutcome::Completed(row)) = &loaded[1] else {
-            panic!("cell 1 not reloaded: {:?}", loaded[1]);
-        };
-        let CellOutcome::Completed(orig) = &outcome else {
-            unreachable!()
-        };
-        assert_eq!(format!("{:?}", row.result), format!("{:?}", orig.result));
+        assert!(loaded[1].is_none() && loaded[3].is_none());
+        for (idx, want) in [(0, &row), (2, &saturated)] {
+            let got = loaded[idx].as_ref().expect("cell reloaded");
+            assert_eq!(got.load.to_bits(), want.load.to_bits());
+            assert_eq!(format!("{:?}", got.result), format!("{:?}", want.result));
+        }
+        // The scheduler comes from the cell's grid position.
+        assert_eq!(loaded[0].as_ref().unwrap().switch, SwitchKind::Fifoms);
+        assert_eq!(loaded[2].as_ref().unwrap().switch, SwitchKind::OqFifo);
+    }
 
-        // A torn final line is skipped, not fatal.
-        let mut text = std::fs::read_to_string(path).unwrap();
-        text.push_str("cell=2\tkey=00000000");
-        std::fs::write(path, text).unwrap();
-        let (_journal, loaded) = CheckpointJournal::resume(path, &s, &p).unwrap();
-        assert!(loaded[1].is_some() && loaded[2].is_none());
+    #[test]
+    fn resume_cuts_a_torn_tail_back_at_every_byte() {
+        let path = temp_path("torn.journal");
+        let s = sweep();
+        let p = CellPolicy::default();
+        let row = sample_row(&s);
+        let journal = CheckpointJournal::create(&path, &s, &p).unwrap();
+        journal.record(0, &row).unwrap();
+        let last_start = std::fs::metadata(&path).unwrap().len() as usize;
+        journal.record(1, &row).unwrap();
+        drop(journal);
+        let full = std::fs::read(&path).unwrap();
+        for cut in last_start..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (journal, loaded) = CheckpointJournal::resume(&path, &s, &p)
+                .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+            assert!(loaded[0].is_some(), "cut at byte {cut} lost cell 0");
+            assert!(
+                loaded[1].is_none(),
+                "cut at byte {cut} resurrected the torn cell"
+            );
+            // A cell recorded after the resume must survive the next one,
+            // which needs the torn bytes gone from under it.
+            journal.record(2, &row).unwrap();
+            drop(journal);
+            let (_journal, loaded) = CheckpointJournal::resume(&path, &s, &p)
+                .unwrap_or_else(|e| panic!("second resume after cut {cut}: {e}"));
+            assert!(
+                loaded[0].is_some() && loaded[1].is_none() && loaded[2].is_some(),
+                "second resume after cut at byte {cut}"
+            );
+        }
+        // The intact file loads both cells.
+        std::fs::write(&path, &full).unwrap();
+        let (_journal, loaded) = CheckpointJournal::resume(&path, &s, &p).unwrap();
+        assert!(loaded[0].is_some() && loaded[1].is_some());
+    }
+
+    #[test]
+    fn resume_cuts_back_at_a_corrupt_record() {
+        let path = temp_path("corrupt.journal");
+        let s = sweep();
+        let p = CellPolicy::default();
+        let row = sample_row(&s);
+        let journal = CheckpointJournal::create(&path, &s, &p).unwrap();
+        journal.record(0, &row).unwrap();
+        let corrupt_start = std::fs::metadata(&path).unwrap().len() as usize;
+        journal.record(1, &row).unwrap();
+        journal.record(2, &row).unwrap();
+        drop(journal);
+        // Flip the low bit of cell 1's index (after the length and the
+        // fingerprint): its CRC fails, so the valid prefix ends before it
+        // and cell 2, intact behind it, re-runs as well.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[corrupt_start + 8] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let (journal, loaded) = CheckpointJournal::resume(&path, &s, &p).unwrap();
+        assert!(loaded[0].is_some(), "cell 0 precedes the corrupt record");
+        assert!(
+            loaded[1].is_none() && loaded[2].is_none(),
+            "cells at and after the corrupt record must re-run"
+        );
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len() as usize,
+            corrupt_start,
+            "resume must cut the file back to the valid prefix"
+        );
+        journal.record(3, &row).unwrap();
+        drop(journal);
+        let (_journal, loaded) = CheckpointJournal::resume(&path, &s, &p).unwrap();
+        assert!(
+            loaded[0].is_some() && loaded[1].is_none() && loaded[2].is_none(),
+            "second resume"
+        );
+        assert!(
+            loaded[3].is_some(),
+            "a cell recorded after the cut survives"
+        );
+    }
+
+    #[test]
+    fn resume_rejects_foreign_journals() {
+        let s = sweep();
+        let p = CellPolicy::default();
+
+        // A text journal of an earlier release.
+        let text = temp_path("text.journal");
+        std::fs::write(
+            &text,
+            "# fifoms sweep journal v1\n\
+             # grid=4b1e6f1f11653286 cells=4 seed=7 n=8\n\
+             cell=0\tkey=833751704400c516\tstatus=ok\tload=0.2\tsw=FIFOMS\n",
+        )
+        .unwrap();
+        let err = resume_err(&text, &s, &p);
+        assert!(err.to_string().contains("not a sweep journal"), "{err}");
+
+        // A journal for another seed, refused on its header alone: no
+        // cell has completed in it yet.
+        let mut other = s.clone();
+        other.seed = 99;
+        let foreign = temp_path("foreign.journal");
+        CheckpointJournal::create(&foreign, &other, &p).unwrap();
+        let err = resume_err(&foreign, &s, &p);
+        assert!(
+            err.to_string()
+                .contains("written for a different sweep (fingerprint"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn resume_rejects_cells_of_another_grid() {
+        let s = sweep();
+        let p = CellPolicy::default();
+        let row = sample_row(&s);
+
+        // This sweep's header followed by a cell record of another seed's
+        // grid.
+        let mut other = s.clone();
+        other.seed = 99;
+        let foreign = temp_path("foreign-cell.journal");
+        let journal = CheckpointJournal::create(&foreign, &other, &p).unwrap();
+        let foreign_header_len = std::fs::metadata(&foreign).unwrap().len() as usize;
+        journal.record(1, &row).unwrap();
+        drop(journal);
+
+        let spliced = temp_path("spliced.journal");
+        CheckpointJournal::create(&spliced, &s, &p).unwrap();
+        let mut bytes = std::fs::read(&spliced).unwrap();
+        bytes.extend_from_slice(&std::fs::read(&foreign).unwrap()[foreign_header_len..]);
+        std::fs::write(&spliced, &bytes).unwrap();
+        let err = resume_err(&spliced, &s, &p);
+        assert!(matches!(err, SimError::JournalMismatch { .. }), "{err}");
+
+        // A record of this grid at an index outside it.
+        let outside = temp_path("outside.journal");
+        CheckpointJournal::create(&outside, &s, &p)
+            .unwrap()
+            .record(4, &row)
+            .unwrap();
+        let err = resume_err(&outside, &s, &p);
+        assert!(matches!(err, SimError::JournalMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn identity_tracks_result_affecting_fields_only() {
+        let s = sweep();
+        let p = CellPolicy::default();
+        let base = sweep_identity(&s, &p);
+        let mut s2 = s.clone();
+        s2.seed = 8;
+        assert_ne!(base, sweep_identity(&s2, &p));
+        let mut s3 = s.clone();
+        s3.run.slots = 4_000;
+        assert_ne!(base, sweep_identity(&s3, &p));
+        let mut p2 = p.clone();
+        p2.faults = Some(fifoms_fabric::FaultConfig::moderate(1));
+        assert_ne!(base, sweep_identity(&s, &p2));
+        // Timeouts, retry budgets and the check interval do not
+        // invalidate a journal.
+        let mut p3 = p.clone();
+        p3.timeout = Some(std::time::Duration::from_secs(5));
+        p3.retries = 9;
+        p3.check_every = Some(100);
+        assert_eq!(base, sweep_identity(&s, &p3));
+    }
+
+    #[test]
+    fn egress_mode_and_retry_budget_change_the_identity() {
+        let s = sweep();
+        let with = |fc| {
+            sweep_identity(
+                &s,
+                &CellPolicy {
+                    faults: Some(fc),
+                    ..CellPolicy::default()
+                },
+            )
+        };
+        let ingress = fifoms_fabric::FaultConfig::moderate(3);
+        let egress = fifoms_fabric::FaultConfig {
+            mode: fifoms_fabric::FaultMode::Egress,
+            ..ingress
+        };
+        let budgeted = fifoms_fabric::FaultConfig {
+            retry_budget: 1,
+            ..ingress
+        };
+        assert_ne!(with(egress), with(ingress));
+        assert_ne!(with(budgeted), with(ingress));
     }
 }

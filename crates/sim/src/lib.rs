@@ -30,11 +30,12 @@
 //!   fault-isolated mode ([`Sweep::run_robust`]) where panicking, hung or
 //!   invalid cells become structured [`CellOutcome::Failed`] rows, and a
 //!   checkpointed mode ([`Sweep::run_checkpointed`]) that journals every
-//!   finished cell so a killed sweep resumes where it stopped. Sweep
+//!   completed cell so a killed sweep resumes where it stopped. Sweep
 //!   cells, chaos cells and `serve` workers all run under one cell guard,
 //!   [`guarded`];
-//! * [`CheckpointJournal`] is that journal — human-readable, append-only,
-//!   crash-tolerant, keyed to the exact sweep it belongs to;
+//! * [`CheckpointJournal`] is that journal — append-only CRC-framed
+//!   records in the arrival WAL's framing, payloads in the checkpoint
+//!   codec, crash-tolerant, keyed to the exact sweep it belongs to;
 //! * [`report`] renders aligned ASCII tables and CSV files;
 //! * observability rides along opt-in: [`try_simulate_observed`] streams
 //!   per-slot events into an [`EventSink`](fifoms_obs::EventSink) and/or

@@ -36,7 +36,7 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use fifoms_fabric::Switch;
@@ -148,9 +148,9 @@ impl CheckpointStore {
 /// Append-side handle on the arrival WAL.
 ///
 /// Record layout: `u32 len | payload | u32 crc32(payload)`, all
-/// little-endian. Each record is encoded into one reused buffer and
-/// handed to the kernel with a single write, so the log survives the
-/// process.
+/// little-endian ([`seal_record`], the framing the sweep journal shares).
+/// Each record is encoded into one reused buffer and handed to the kernel
+/// with a single write, so the log survives the process.
 pub struct WalWriter {
     file: fs::File,
     path: PathBuf,
@@ -177,26 +177,19 @@ impl WalWriter {
 
     /// Append one slot's arrival vector.
     pub fn append(&mut self, slot: u64, arrivals: &[Option<PortSet>]) -> Result<(), SimError> {
-        // Encode the record in place: a length placeholder, the payload,
-        // then the real length and the CRC.
-        let mut w = StateWriter::reusing(std::mem::take(&mut self.record));
-        w.put_u32(0);
-        w.put_u64(slot);
-        w.put_usize(arrivals.len());
-        for a in arrivals {
-            match a {
-                Some(dests) => {
-                    w.put_bool(true);
-                    w.put_port_set(dests);
+        let record = seal_record(std::mem::take(&mut self.record), |w| {
+            w.put_u64(slot);
+            w.put_usize(arrivals.len());
+            for a in arrivals {
+                match a {
+                    Some(dests) => {
+                        w.put_bool(true);
+                        w.put_port_set(dests);
+                    }
+                    None => w.put_bool(false),
                 }
-                None => w.put_bool(false),
             }
-        }
-        let mut record = w.into_bytes();
-        let payload_len = (record.len() - 4) as u32;
-        record[..4].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&record[4..]);
-        record.extend_from_slice(&crc.to_le_bytes());
+        });
         let written = self
             .file
             .write_all(&record)
@@ -215,42 +208,54 @@ impl WalWriter {
     }
 }
 
+/// Encode one log record into `buf`'s allocation (its contents are
+/// discarded): `u32 len | payload | u32 crc32(payload)`, all
+/// little-endian, where `encode` writes the payload. The arrival WAL and
+/// the sweep journal both frame their records with this one function.
+pub(crate) fn seal_record(buf: Vec<u8>, encode: impl FnOnce(&mut StateWriter)) -> Vec<u8> {
+    // A length placeholder, the payload, then the real length and the CRC.
+    let mut w = StateWriter::reusing(buf);
+    w.put_u32(0);
+    encode(&mut w);
+    let mut record = w.into_bytes();
+    let payload_len = (record.len() - 4) as u32;
+    record[..4].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&record[4..]);
+    record.extend_from_slice(&crc.to_le_bytes());
+    record
+}
+
+/// The valid prefix of a log of [`seal_record`] records: the payloads of
+/// the leading records whose length and CRC check, and the byte length
+/// of that prefix. The first torn, truncated or CRC-mismatching record
+/// (the tail a crash tore off, or a corrupt record) ends it.
+pub(crate) fn valid_records(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
+    let le_u32 = |at: usize| Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?));
+    let mut payloads = Vec::new();
+    let mut pos = 0usize;
+    while let Some(len) = le_u32(pos) {
+        let end = pos + 4 + len as usize;
+        let (Some(payload), Some(crc)) = (bytes.get(pos + 4..end), le_u32(end)) else {
+            break;
+        };
+        if crc32(payload) != crc {
+            break;
+        }
+        payloads.push(payload);
+        pos = end + 4;
+    }
+    (payloads, pos)
+}
+
 /// Read the valid prefix of a WAL: decoding stops at the first torn,
 /// truncated or CRC-mismatching record (the tail a crash tore off).
 pub fn read_wal(path: &Path) -> Vec<(u64, Vec<Option<PortSet>>)> {
-    let mut bytes = Vec::new();
-    match fs::File::open(path) {
-        Ok(mut f) => {
-            if f.read_to_end(&mut bytes).is_err() {
-                return Vec::new();
-            }
-        }
-        Err(_) => return Vec::new(),
-    }
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while let Some(len_bytes) = bytes.get(pos..pos + 4) {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(len_bytes);
-        let len = u32::from_le_bytes(b) as usize;
-        let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-            break;
-        };
-        let Some(crc_bytes) = bytes.get(pos + 4 + len..pos + 8 + len) else {
-            break;
-        };
-        let mut c = [0u8; 4];
-        c.copy_from_slice(crc_bytes);
-        if crc32(payload) != u32::from_le_bytes(c) {
-            break;
-        }
-        let Some(record) = decode_wal_payload(payload) else {
-            break;
-        };
-        records.push(record);
-        pos += 8 + len;
-    }
-    records
+    let bytes = fs::read(path).unwrap_or_default();
+    valid_records(&bytes)
+        .0
+        .into_iter()
+        .map_while(decode_wal_payload)
+        .collect()
 }
 
 fn decode_wal_payload(payload: &[u8]) -> Option<(u64, Vec<Option<PortSet>>)> {
@@ -878,6 +883,49 @@ mod tests {
         assert!(prefix.len() < 20);
         assert_eq!(&full[..prefix.len()], prefix.as_slice());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn valid_records_reports_the_whole_record_prefix() {
+        // Three records of different lengths, one with an empty payload.
+        let records = [
+            seal_record(Vec::new(), |w| w.put_u64(7)),
+            seal_record(Vec::new(), |_| {}),
+            seal_record(Vec::new(), |w| w.put_str("the third record")),
+        ];
+        let log = records.concat();
+        let ends: Vec<usize> = records
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.len();
+                Some(*end)
+            })
+            .collect();
+        // Cut at every byte: exactly the records that end at or before the
+        // cut are returned, and the prefix length is where the last ends.
+        for cut in 0..=log.len() {
+            let (payloads, valid_len) = valid_records(&log[..cut]);
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(payloads.len(), whole, "cut {cut}");
+            assert_eq!(
+                valid_len,
+                whole.checked_sub(1).map_or(0, |k| ends[k]),
+                "cut {cut}"
+            );
+            for (got, r) in payloads.iter().zip(&records) {
+                assert_eq!(*got, &r[4..r.len() - 4], "cut {cut}");
+            }
+        }
+        // A CRC mismatch ends the prefix with whole records behind it, and
+        // so does a length field that runs past the end of the log.
+        let mut bad_crc = log.clone();
+        bad_crc[ends[1] - 1] ^= 0x80;
+        let (payloads, valid_len) = valid_records(&bad_crc);
+        assert_eq!((payloads.len(), valid_len), (1, ends[0]));
+        let mut overrun = log.clone();
+        overrun[ends[0]..ends[0] + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (payloads, valid_len) = valid_records(&overrun);
+        assert_eq!((payloads.len(), valid_len), (1, ends[0]));
     }
 
     #[test]

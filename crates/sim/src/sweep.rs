@@ -327,15 +327,16 @@ impl Sweep {
         policy: &CellPolicy,
         obs: &SweepObserver,
     ) -> Vec<CellOutcome> {
-        self.run_cells(threads, policy, None, None, obs)
+        self.run_cells(threads, policy, Vec::new(), None, obs)
             .expect("no journal in use")
     }
 
-    /// Execute the grid with fault isolation, journaling every finished
+    /// Execute the grid with fault isolation, journaling every completed
     /// cell to `journal_path`. With `resume`, an existing journal for this
     /// exact sweep is loaded first: its completed cells are returned
     /// as-is (bit-identical, since journal rows round-trip exactly) and
-    /// only missing or previously-failed cells run.
+    /// only the other cells run. Failed cells are never journaled, so a
+    /// resume always runs them again.
     pub fn run_checkpointed(
         &self,
         threads: usize,
@@ -362,20 +363,21 @@ impl Sweep {
             CheckpointJournal::resume(journal_path, self, policy)?
         } else {
             let journal = CheckpointJournal::create(journal_path, self, policy)?;
-            let cells = self.switches.len() * self.points.len();
-            (journal, vec![None; cells])
+            (journal, Vec::new())
         };
-        self.run_cells(threads, policy, Some(loaded), Some(&journal), obs)
+        self.run_cells(threads, policy, loaded, Some(&journal), obs)
     }
 
     /// The shared grid engine. Per-cell results land in individual
     /// [`OnceLock`] slots, so a worker dying mid-cell cannot poison the
     /// result store — the remaining workers keep draining the grid.
+    /// `preloaded` holds the rows a resumed journal already completed, by
+    /// grid index (empty for a fresh grid).
     fn run_cells(
         &self,
         threads: usize,
         policy: &CellPolicy,
-        preloaded: Option<Vec<Option<CellOutcome>>>,
+        preloaded: Vec<Option<SweepRow>>,
         journal: Option<&CheckpointJournal>,
         obs: &SweepObserver,
     ) -> Result<Vec<CellOutcome>, SimError> {
@@ -383,20 +385,15 @@ impl Sweep {
             .flat_map(|si| (0..self.points.len()).map(move |pi| (si, pi)))
             .collect();
         let slots: Vec<OnceLock<CellOutcome>> = (0..cells.len()).map(|_| OnceLock::new()).collect();
-        if let Some(pre) = preloaded {
-            for (slot, loaded) in slots.iter().zip(pre) {
-                // Reuse journaled successes; failed cells get another run
-                // (a resume is the natural moment to retry them).
-                if let Some(outcome @ CellOutcome::Completed(_)) = loaded {
-                    if let (Some(p), Some(row)) = (&obs.progress, outcome.row()) {
-                        p.add_slots(row.result.slots_run);
-                        if let Some(line) = p.cell_done() {
-                            eprintln!("{line}");
-                        }
-                    }
-                    let _ = slot.set(outcome);
+        for (slot, row) in slots.iter().zip(preloaded) {
+            let Some(row) = row else { continue };
+            if let Some(p) = &obs.progress {
+                p.add_slots(row.result.slots_run);
+                if let Some(line) = p.cell_done() {
+                    eprintln!("{line}");
                 }
             }
+            let _ = slot.set(CellOutcome::Completed(row));
         }
         let next = AtomicUsize::new(0);
         let journal_err: OnceLock<SimError> = OnceLock::new();
@@ -416,8 +413,8 @@ impl Sweep {
                         obs.packet_trace,
                         obs.telemetry.clone(),
                     );
-                    if let Some(j) = journal {
-                        if let Err(e) = j.record(idx, self, &outcome) {
+                    if let (Some(j), Some(row)) = (journal, outcome.row()) {
+                        if let Err(e) = j.record(idx, row) {
                             let _ = journal_err.set(e);
                         }
                     }

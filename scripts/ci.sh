@@ -68,6 +68,12 @@
 #      calling SnapshotBus::publish, WalWriter::append and
 #      CheckpointStore::save directly. The build goes to a temporary
 #      target directory so nothing under layerbench/ is written.
+#  15. a journal kill-and-resume smoke: a sweep journals every cell, the
+#      journal is cut to two thirds of its bytes (a killed process tears
+#      its last record anywhere), and two resumes of the cut file must
+#      each print the uninterrupted run's stdout from line 2 on; the
+#      first resume cuts the torn record off, so the second finds none.
+#      Resuming under another seed must fail with a journal mismatch.
 #
 # Run from anywhere inside the repository.
 
@@ -192,5 +198,27 @@ CARGO_TARGET_DIR="$tmp/layerbench" python3 layerbench/run.py --self-test \
   > "$tmp/lb-self-test.txt" 2> "$tmp/lb-self-test.err"
 tail -n 1 "$tmp/lb-self-test.txt" > "$tmp/lb-self-test.json"
 grep -q '"sabotage_caught":true' "$tmp/lb-self-test.json"
+
+echo "== journal kill-and-resume smoke (byte cut + two resumes + mismatch) =="
+sweep=(cargo run --release --quiet -p fifoms-cli -- sweep --quick --n 8 --points 3 --threads 1)
+"${sweep[@]}" --seed 9 --journal "$tmp/s.journal" > "$tmp/journal-full.txt"
+size=$(wc -c < "$tmp/s.journal")
+head -c $((size * 2 / 3)) "$tmp/s.journal" > "$tmp/cut.journal"
+for i in 1 2; do
+  "${sweep[@]}" --seed 9 --resume "$tmp/cut.journal" \
+    > "$tmp/journal-resume-$i.txt" 2> "$tmp/journal-resume-$i.err"
+  diff <(tail -n +2 "$tmp/journal-full.txt") <(tail -n +2 "$tmp/journal-resume-$i.txt")
+done
+if grep -q "torn byte" "$tmp/journal-resume-2.err"; then
+  echo "the first resume left torn journal bytes behind" >&2
+  exit 1
+fi
+# `set -e` ignores a negated command's status, so test it explicitly.
+if "${sweep[@]}" --seed 10 --resume "$tmp/cut.journal" \
+  > /dev/null 2> "$tmp/journal-mismatch.err"; then
+  echo "a journal resumed under another seed" >&2
+  exit 1
+fi
+grep -q "checkpoint journal mismatch" "$tmp/journal-mismatch.err"
 
 echo "CI checks passed."

@@ -1,5 +1,5 @@
 //! Fault-isolated sweep runner: checkpoint/resume equivalence, panic and
-//! hang containment, and journaling of structured failures.
+//! hang containment, and the re-run of failed cells on resume.
 
 use std::time::Duration;
 
@@ -26,10 +26,11 @@ fn small_sweep(seed: u64) -> Sweep {
     }
 }
 
-/// Kill/resume equivalence: truncate the journal at several prefixes
-/// (including a torn final line, as a killed process would leave) and
-/// verify the resumed sweep reproduces the uninterrupted result set
-/// bit-for-bit.
+/// Kill/resume equivalence: cut the journal at byte offsets (a killed
+/// process tears its last record anywhere) and verify the resumed sweep
+/// reproduces the uninterrupted result set bit-for-bit. A second resume
+/// must then find every cell completed in the journal the first resume
+/// left behind, and reproduce the same set again.
 #[test]
 fn killed_sweep_resumes_to_identical_results() {
     let sweep = small_sweep(11);
@@ -39,24 +40,40 @@ fn killed_sweep_resumes_to_identical_results() {
         .run_checkpointed(4, &policy, &full_path, false)
         .expect("uninterrupted run");
     let reference = format!("{full:?}");
-    let text = std::fs::read_to_string(&full_path).expect("journal exists");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2 + 9, "2 header lines + 9 cells");
+    let bytes = std::fs::read(&full_path).expect("journal exists");
+    let header_path = temp_path("header.journal");
+    CheckpointJournal::create(&header_path, &sweep, &policy).expect("header only");
+    let header = std::fs::metadata(&header_path).expect("header").len() as usize;
+    let body = bytes.len() - header;
 
-    for keep in [2usize, 4, 7, lines.len()] {
-        let mut truncated = lines[..keep].join("\n");
-        truncated.push('\n');
-        if keep < lines.len() {
-            // a process killed mid-write leaves a torn final line
-            let torn = lines[keep];
-            truncated.push_str(&torn[..torn.len() / 2]);
-        }
-        let path = temp_path(&format!("resume-{keep}.journal"));
-        std::fs::write(&path, truncated).expect("write truncated journal");
+    for cut in [
+        header,
+        header + 1,
+        header + body / 3,
+        header + body / 2,
+        bytes.len() - 1,
+        bytes.len(),
+    ] {
+        let path = temp_path(&format!("resume-{cut}.journal"));
+        std::fs::write(&path, &bytes[..cut]).expect("write cut journal");
         let resumed = sweep
             .run_checkpointed(4, &policy, &path, true)
             .expect("resumed run");
-        assert_eq!(reference, format!("{resumed:?}"), "keep={keep}");
+        assert_eq!(reference, format!("{resumed:?}"), "cut at byte {cut}");
+        let (_journal, loaded) =
+            CheckpointJournal::resume(&path, &sweep, &policy).expect("second resume");
+        assert!(
+            loaded.iter().all(Option::is_some),
+            "cut at byte {cut}: the second resume must reuse every cell"
+        );
+        let again = sweep
+            .run_checkpointed(4, &policy, &path, true)
+            .expect("second resumed run");
+        assert_eq!(
+            reference,
+            format!("{again:?}"),
+            "second resume, cut at byte {cut}"
+        );
     }
 }
 
@@ -101,11 +118,10 @@ fn hung_scheduler_trips_the_watchdog() {
     );
 }
 
-/// Failed cells are journaled as structured rows and re-run (not reused)
-/// on resume; with a deterministic failure the resumed grid matches the
-/// original.
+/// Failed cells are not journaled, so a resume runs them again; with a
+/// deterministic failure the resumed grid matches the original.
 #[test]
-fn failed_cells_are_journaled_and_rerun_on_resume() {
+fn failed_cells_are_rerun_on_resume() {
     let mut sweep = small_sweep(13);
     sweep.switches = vec![SwitchKind::Fifoms, SwitchKind::ChaosPanic { at: 50 }];
     sweep.points.truncate(2);
@@ -115,9 +131,13 @@ fn failed_cells_are_journaled_and_rerun_on_resume() {
         .run_checkpointed(2, &policy, &path, false)
         .expect("first run");
     assert_eq!(first.iter().filter(|o| o.failure().is_some()).count(), 2);
-    let text = std::fs::read_to_string(&path).expect("journal exists");
-    assert!(text.contains("status=failed"), "{text}");
-    assert!(text.contains("reason=panic"), "{text}");
+    let (_journal, loaded) = CheckpointJournal::resume(&path, &sweep, &policy).expect("reload");
+    let journaled: Vec<bool> = loaded.iter().map(Option::is_some).collect();
+    let completed: Vec<bool> = first.iter().map(|o| o.row().is_some()).collect();
+    assert_eq!(
+        journaled, completed,
+        "exactly the completed cells are journaled"
+    );
     let resumed = sweep
         .run_checkpointed(2, &policy, &path, true)
         .expect("resume");
