@@ -6,8 +6,8 @@ use std::sync::Arc;
 use fifoms_obs::{EventSink, Json, JsonlSink, MetricsRegistry, ProgressMeter};
 use fifoms_sim::report::{figure_table, sweep_csv, Metric};
 use fifoms_sim::{
-    try_simulate_hooked, CellOutcome, CellPolicy, FaultConfig, Observer, RunConfig, SlotHook,
-    Sweep, SweepObserver, SweepRow, SwitchKind, TrafficKind,
+    run, CellOutcome, CellPolicy, FaultConfig, Observer, RunConfig, SlotHook, Sweep, SweepObserver,
+    SweepRow, SwitchKind, TrafficKind,
 };
 use fifoms_stats::FairnessTracker;
 use fifoms_types::{SimError, Slot, SlotOutcome};
@@ -352,11 +352,12 @@ pub fn fairness(opts: &Options) -> Result<(), SimError> {
             tracker: FairnessTracker::new(n),
             warmup: cfg.warmup,
         };
-        try_simulate_hooked(
+        run(
             sw.as_mut(),
             tr.as_mut(),
             &cfg,
             &mut Observer::none(),
+            None,
             &mut hook,
         )?;
         table.push_row(vec![

@@ -2,7 +2,7 @@
 //! and compare schedulers on identical recorded arrivals.
 
 use fifoms_sim::report::Table;
-use fifoms_sim::{try_simulate_hooked, Observer, RunConfig, RunResult, SlotHook, SwitchKind};
+use fifoms_sim::{run, Observer, RunConfig, RunResult, SlotHook, SwitchKind};
 use fifoms_traffic::{Trace, TraceSource};
 use fifoms_types::SimError;
 
@@ -92,7 +92,7 @@ fn replay_one(trace: &Trace, sk: SwitchKind, seed: u64) -> Result<RunResult, Sim
         sample_every: 100,
     };
     let mut obs = Observer::none();
-    let result = try_simulate_hooked(sw.as_mut(), &mut src, &cfg, &mut obs, &mut Drain)?;
+    let result = run(sw.as_mut(), &mut src, &cfg, &mut obs, None, &mut Drain)?;
     if !sw.backlog().is_empty() {
         return Err(SimError::Usage(format!(
             "{} failed to drain the trace: {} copies still queued after {REPLAY_STALL_WINDOW} \

@@ -523,13 +523,7 @@ impl Checkpoint for Telemetry {
             w.put_u64(i.admission_drops);
             w.put_u32(i.quarantined);
         }
-        let (buckets, count, sum, max) = self.slot_ns.raw();
-        for b in buckets {
-            w.put_u64(*b);
-        }
-        w.put_u64(count);
-        w.put_u64(sum);
-        w.put_u64(max);
+        self.slot_ns.write_state(w);
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
@@ -560,13 +554,7 @@ impl Checkpoint for Telemetry {
             i.admission_drops = r.get_u64()?;
             i.quarantined = r.get_u32()?;
         }
-        let mut buckets = [0u64; 65];
-        for b in &mut buckets {
-            *b = r.get_u64()?;
-        }
-        let (count, sum, max) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-        self.slot_ns = Log2Histogram::from_raw(buckets, count, sum, max);
-        Ok(())
+        self.slot_ns.read_state(r)
     }
 }
 

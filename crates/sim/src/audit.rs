@@ -22,7 +22,7 @@ use fifoms_obs::Json;
 use fifoms_traffic::TrafficModel;
 use fifoms_types::{SimError, Slot, SlotOutcome};
 
-use crate::engine::{try_simulate_hooked, Observer, RunConfig, SlotHook};
+use crate::engine::{run, Observer, RunConfig, SlotHook};
 
 /// The engine's phases in slot order, as the audit reports them.
 const PHASES: [&str; 6] = [
@@ -133,7 +133,7 @@ pub fn alloc_audit(
         last: 0,
         allocs: [0; PHASES.len()],
     };
-    let result = try_simulate_hooked(switch, traffic, &cfg, obs, &mut hook)?;
+    let result = run(switch, traffic, &cfg, obs, None, &mut hook)?;
     let mut phase_allocs = PHASES.map(|phase| (phase, 0));
     for (row, allocs) in phase_allocs.iter_mut().zip(hook.allocs) {
         row.1 = allocs;

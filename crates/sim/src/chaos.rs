@@ -35,7 +35,7 @@ use fifoms_types::{
     SPLITMIX64_GAMMA,
 };
 
-use crate::engine::{try_simulate_hooked, Observer, RunConfig, SlotHook, TelemetrySpec};
+use crate::engine::{run, Observer, RunConfig, SlotHook, TelemetrySpec};
 use crate::guard::guarded;
 use crate::spec::TrafficKind;
 
@@ -404,8 +404,15 @@ fn drive<S: Switch>(
         backlog_cap: usize::MAX,
         sample_every: 100,
     };
-    let result = try_simulate_hooked(&mut checked, traffic.as_mut(), &cfg, &mut obs, &mut hook)
-        .expect("a validated scenario meets the engine's preconditions");
+    let result = run(
+        &mut checked,
+        traffic.as_mut(),
+        &cfg,
+        &mut obs,
+        None,
+        &mut hook,
+    )
+    .expect("a validated scenario meets the engine's preconditions");
     let recovery = lock(&events.0).summary();
 
     let backlog = checked.backlog();

@@ -320,7 +320,8 @@ mod tests {
         let (load, tk) = sweep.points[1];
         let mut sw = sweep.switches[0].build(sweep.n, 1);
         let mut tr = tk.build(sweep.n, 2);
-        let result = crate::engine::simulate(sw.as_mut(), tr.as_mut(), &sweep.run);
+        let result =
+            crate::engine::try_simulate(sw.as_mut(), tr.as_mut(), &sweep.run).expect("run");
         SweepRow {
             switch: sweep.switches[0],
             load,
@@ -449,6 +450,12 @@ mod tests {
         std::fs::write(&path, &full).unwrap();
         let (_journal, loaded) = CheckpointJournal::resume(&path, &s, &p).unwrap();
         assert!(loaded[0].is_some() && loaded[1].is_some());
+        // A zero-filled tail reads as an empty record whose CRC checks; it
+        // is cut back like a torn one, and every cell is reused.
+        std::fs::write(&path, [&full[..], &[0; 8]].concat()).unwrap();
+        let (_journal, loaded) = CheckpointJournal::resume(&path, &s, &p).unwrap();
+        assert!(loaded[0].is_some() && loaded[1].is_some());
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, full.len());
     }
 
     #[test]

@@ -10,11 +10,11 @@ use fifoms_stats::{
 };
 use fifoms_traffic::TrafficModel;
 use fifoms_types::{
-    ObsEvent, Packet, PacketId, PortId, SimError, Slot, SlotOutcome, SpanSample, SpanTimer,
-    TypeError,
+    Checkpoint, ObsEvent, Packet, PacketId, PortId, SimError, Slot, SlotOutcome, SpanSample,
+    SpanTimer, StateError, StateReader, StateWriter, TypeError,
 };
 
-use crate::recover::{RecoveryRuntime, RunSnapshot};
+use crate::recover::RecoveryRuntime;
 
 /// Parameters of one simulation run.
 #[derive(Clone, Copy, Debug)]
@@ -96,43 +96,18 @@ impl RunResult {
     }
 }
 
-/// Run one `(switch, traffic)` pair to completion.
-///
-/// Per slot: generate arrivals, [`Switch::admit`] each (preprocessing is
-/// overlapped with scheduling, §IV-C), [`Switch::run_slot`], then record
-/// post-warmup statistics and sample the backlog for saturation detection.
-///
-/// # Panics
-///
-/// Panics if `cfg.warmup >= cfg.slots`, `cfg.sample_every == 0` or the
-/// traffic model's port count differs from the switch's. Use
-/// [`try_simulate`] on user-facing paths where these should surface as
-/// diagnostics instead.
-pub fn simulate(
-    switch: &mut dyn Switch,
-    traffic: &mut dyn TrafficModel,
-    cfg: &RunConfig,
-) -> RunResult {
-    match try_simulate(switch, traffic, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`simulate`]: precondition failures become
-/// [`SimError`] values rather than panics.
+/// [`run`] with nothing attached: no observer, no recovery, no hook.
 pub fn try_simulate(
     switch: &mut dyn Switch,
     traffic: &mut dyn TrafficModel,
     cfg: &RunConfig,
 ) -> Result<RunResult, SimError> {
-    try_simulate_observed(switch, traffic, cfg, &mut Observer::none())
+    run(switch, traffic, cfg, &mut Observer::none(), None, &mut ())
 }
 
-/// Observation attachments for one run. Both channels default to off;
-/// a disabled observer makes [`try_simulate_observed`] take the same code
-/// path as [`try_simulate`] (which is implemented as exactly that), so
-/// observation can never perturb an unobserved result.
+/// Observation attachments for one run. Every channel defaults to off;
+/// [`try_simulate`] is [`run`] with a disabled observer, so observation
+/// can never perturb an unobserved result.
 pub struct Observer<'a> {
     /// Event destination plus the scope label events are tagged with.
     /// When set, the engine emits one [`ObsEvent::RunMeta`] before slot 0
@@ -227,25 +202,8 @@ impl TelemetrySpec {
     }
 }
 
-/// [`try_simulate`] with observation attached: events stream to the
-/// observer's sink and engine phases are sampled into its profiler.
-pub fn try_simulate_observed(
-    switch: &mut dyn Switch,
-    traffic: &mut dyn TrafficModel,
-    cfg: &RunConfig,
-    obs: &mut Observer<'_>,
-) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, None, &mut ())
-}
-
-/// [`try_simulate_observed`] with crash-safe checkpointing attached
-/// (DESIGN.md §15): the engine writes a checkpoint at the top of every
-/// `recovery.every()`-th slot, logs each slot's arrivals to the WAL, and
-/// — when `recovery` was opened over an existing checkpoint — restores
-/// the full run state and resumes at the checkpointed slot, verifying
-/// regenerated arrivals against the WAL across the replay gap. A resumed
-/// run is bit-identical (trace, metrics, [`RunResult`]) to the
-/// uninterrupted one.
+/// [`run`] with crash-safe checkpointing attached (DESIGN.md §15) and
+/// no hook.
 pub fn try_simulate_recoverable(
     switch: &mut dyn Switch,
     traffic: &mut dyn TrafficModel,
@@ -253,13 +211,13 @@ pub fn try_simulate_recoverable(
     obs: &mut Observer<'_>,
     recovery: &mut RecoveryRuntime,
 ) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, Some(recovery), &mut ())
+    run(switch, traffic, cfg, obs, Some(recovery), &mut ())
 }
 
 /// A caller's extension of the engine's slot loop (DESIGN.md §4): what a
 /// chaos campaign, the allocation audit or a replay needs beyond loaded
 /// slots and statistics, without a slot loop of its own. Every method
-/// defaults to a no-op; `()` is the no-op hook the plain entry points pass.
+/// defaults to a no-op; `()` is the no-op hook the shims pass.
 pub trait SlotHook<S: ?Sized> {
     /// The drain phase's stall window, or `None` (the default) to end the
     /// run after `cfg.slots` loaded slots. With a window, the engine keeps
@@ -293,20 +251,6 @@ pub trait SlotHook<S: ?Sized> {
 
 impl<S: ?Sized> SlotHook<S> for () {}
 
-/// [`try_simulate_observed`] with a [`SlotHook`] driving the run: the
-/// hook sees every phase boundary and every finished slot, may stop the
-/// run, and may ask for a drain phase after the loaded slots. Recovery
-/// cannot be attached to a hooked run.
-pub fn try_simulate_hooked<S: Switch + ?Sized, H: SlotHook<S>>(
-    switch: &mut S,
-    traffic: &mut dyn TrafficModel,
-    cfg: &RunConfig,
-    obs: &mut Observer<'_>,
-    hook: &mut H,
-) -> Result<RunResult, SimError> {
-    simulate_inner(switch, traffic, cfg, obs, None, hook)
-}
-
 /// Mark one phase boundary: the profiler's span on sampled slots and the
 /// hook's [`SlotHook::phase`] call both come from here.
 #[inline(always)]
@@ -329,7 +273,109 @@ fn mark<S: Switch + ?Sized, H: SlotHook<S>>(
     hook.phase(name, enter);
 }
 
-fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
+/// Everything the slot loop accumulates over a run, checkpointed as one
+/// component. A restore fills a value built by [`EngineState::new`] for
+/// the same port count and [`RunConfig`].
+pub(crate) struct EngineState {
+    /// Packets admitted so far (the last packet id handed out).
+    next_packet: u64,
+    /// Copies delivered after warmup.
+    copies_delivered: u64,
+    /// Slots executed.
+    slots_run: u64,
+    delay: DelayStats,
+    occupancy: OccupancyTracker,
+    /// Convergence rounds of slots with at least one departure.
+    rounds: RunningStat,
+    detector: SaturationDetector,
+    /// The drain cursor: the lowest backlog the drain phase has reached
+    /// (`usize::MAX` before it starts) and the slot its stall window
+    /// closes at.
+    lowest_backlog: usize,
+    drain_deadline: u64,
+}
+
+impl EngineState {
+    fn new(ports: usize, cfg: &RunConfig) -> EngineState {
+        let mut detector = SaturationDetector::new(cfg.backlog_cap);
+        // Every backlog sample of the loaded phase, reserved before slot 0
+        // so the sample vector never grows inside the loop.
+        let samples = usize::try_from(cfg.slots / cfg.sample_every + 1).unwrap_or(usize::MAX);
+        detector.reserve_samples(samples);
+        EngineState {
+            next_packet: 0,
+            copies_delivered: 0,
+            slots_run: 0,
+            delay: DelayStats::new(),
+            occupancy: OccupancyTracker::new(ports),
+            rounds: RunningStat::new(),
+            detector,
+            lowest_backlog: usize::MAX,
+            drain_deadline: 0,
+        }
+    }
+}
+
+impl Checkpoint for EngineState {
+    fn state_kind(&self) -> &'static str {
+        "fifoms-engine"
+    }
+
+    fn write_state(&self, w: &mut StateWriter) {
+        w.put_u64(self.next_packet);
+        w.put_u64(self.copies_delivered);
+        w.put_u64(self.slots_run);
+        self.delay.write_state(w);
+        self.occupancy.write_state(w);
+        self.rounds.write_state(w);
+        self.detector.write_state(w);
+        w.put_usize(self.lowest_backlog);
+        w.put_u64(self.drain_deadline);
+    }
+
+    fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.next_packet = r.get_u64()?;
+        self.copies_delivered = r.get_u64()?;
+        self.slots_run = r.get_u64()?;
+        self.delay.read_state(r)?;
+        self.occupancy.read_state(r)?;
+        self.rounds.read_state(r)?;
+        self.detector.read_state(r)?;
+        self.lowest_backlog = r.get_usize()?;
+        self.drain_deadline = r.get_u64()?;
+        Ok(())
+    }
+}
+
+/// Run one `(switch, traffic)` pair to completion: the one entry point
+/// of the slot loop.
+///
+/// Per slot: generate arrivals, [`Switch::admit`] each (preprocessing is
+/// overlapped with scheduling, §IV-C), [`Switch::run_slot`], then record
+/// post-warmup statistics and sample the backlog for saturation
+/// detection. The attachments combine freely:
+///
+/// * `obs` streams events, samples phase timings and feeds live
+///   telemetry (see [`Observer`]);
+/// * `recovery` writes a checkpoint at the top of every due slot, logs
+///   each slot's arrivals to the WAL, and, when opened over an existing
+///   checkpoint, restores the run and resumes at the checkpointed slot,
+///   verifying regenerated arrivals against the WAL across the replay
+///   gap. A resumed run is bit-identical (trace, metrics, [`RunResult`])
+///   to the uninterrupted one (DESIGN.md §15);
+/// * `hook` sees every phase boundary and every finished slot, may stop
+///   the run, and may ask for a drain phase after the loaded slots (see
+///   [`SlotHook`]).
+///
+/// A checkpoint holds the engine's, the switch stack's, the traffic
+/// model's and the telemetry's state. It does not hold the hook's own
+/// fields, just as it holds no in-memory sink's state: a resumed run
+/// hands the hook only the slots from the checkpoint on.
+///
+/// Fails with a [`SimError`] if `cfg.warmup >= cfg.slots`,
+/// `cfg.sample_every == 0`, the traffic model's port count differs from
+/// the switch's, or recovery fails.
+pub fn run<S: Switch + ?Sized, H: SlotHook<S>>(
     switch: &mut S,
     traffic: &mut dyn TrafficModel,
     cfg: &RunConfig,
@@ -356,19 +402,9 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
         });
     }
     let n = switch.ports();
-    let mut delay = DelayStats::new();
-    let mut occupancy = OccupancyTracker::new(n);
-    let mut rounds = RunningStat::new();
-    let mut detector = SaturationDetector::new(cfg.backlog_cap);
-    // Every backlog sample of the loaded phase, reserved before slot 0
-    // so the sample vector never grows inside the loop.
-    let samples = usize::try_from(cfg.slots / cfg.sample_every + 1).unwrap_or(usize::MAX);
-    detector.reserve_samples(samples);
+    let mut st = EngineState::new(n, cfg);
     let mut arrivals: Vec<Option<_>> = Vec::with_capacity(n);
     let mut queue_buf: Vec<usize> = Vec::with_capacity(n);
-    let mut next_packet = 0u64;
-    let mut copies_delivered = 0u64;
-    let mut slots_run = 0u64;
     let mut event_buf: Vec<ObsEvent> = Vec::new();
     let mut span_buf: Vec<SpanSample> = Vec::new();
     // Pre-sized quarantine poll buffer: window closes must not allocate
@@ -378,33 +414,14 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
         quarantine_buf.reserve(n * n);
     }
 
-    // A pending resume overwrites every engine local the checkpoint
-    // captured, then the loop restarts at the checkpointed slot. Resumed
-    // runs skip the run_meta/window_meta preamble — the truncated trace
-    // already carries it.
+    // A pending resume restores every component the checkpoint holds,
+    // then the loop restarts at the checkpointed slot. Resumed runs skip
+    // the run_meta/window_meta preamble — the truncated trace already
+    // carries it.
     let mut start_slot = 0u64;
     if let Some(rec) = recovery.as_deref_mut() {
         let tele = obs.telemetry.as_mut().map(|tc| &mut *tc.telemetry);
-        if let Some(applied) = rec.apply_resume(switch, traffic, tele)? {
-            if applied.occupancy.raw().0.len() != n {
-                return Err(SimError::Recovery {
-                    message: format!(
-                        "checkpoint tracks {} ports, run has {n}",
-                        applied.occupancy.raw().0.len()
-                    ),
-                });
-            }
-            start_slot = applied.slot;
-            next_packet = applied.next_packet;
-            copies_delivered = applied.copies_delivered;
-            slots_run = applied.slots_run;
-            delay = applied.delay;
-            occupancy = applied.occupancy;
-            rounds = applied.rounds;
-            // The restore replaces the sample vector: reserve again.
-            detector.restore_raw(applied.detector_samples, applied.detector_cap_hit);
-            detector.reserve_samples(samples);
-        }
+        start_slot = rec.apply_resume(&mut st, switch, traffic, tele)?;
     }
 
     if start_slot == 0 {
@@ -430,8 +447,6 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
 
     let observing = obs.sink.is_some() || obs.telemetry.is_some();
     let drain_window = hook.drain_window();
-    let mut lowest_backlog = usize::MAX;
-    let mut drain_deadline = 0u64;
     let mut t = start_slot;
     loop {
         if t >= cfg.slots {
@@ -439,16 +454,18 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
             // stall window that restarts whenever the backlog reaches a
             // new low. Once admissions stop the backlog cannot grow, so a
             // full window without a new low means no copy will move again.
+            // The cursor is engine state, so a resumed drain keeps its
+            // window.
             let Some(window) = drain_window else { break };
             let copies = switch.backlog().copies;
             if copies == 0 {
                 break;
             }
-            if copies < lowest_backlog {
-                lowest_backlog = copies;
-                drain_deadline = t.saturating_add(window);
+            if copies < st.lowest_backlog {
+                st.lowest_backlog = copies;
+                st.drain_deadline = t.saturating_add(window);
             }
-            if t >= drain_deadline {
+            if t >= st.drain_deadline {
                 break;
             }
         }
@@ -478,19 +495,8 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
                 if let Some((sink, _)) = obs.sink {
                     sink.flush();
                 }
-                let snap = RunSnapshot {
-                    slot: t,
-                    next_packet,
-                    copies_delivered,
-                    slots_run,
-                    trace_offset: rec.trace_offset_now(),
-                    delay: &delay,
-                    occupancy: &occupancy,
-                    rounds: &rounds,
-                    detector: &detector,
-                };
                 let telemetry = obs.telemetry.as_ref().map(|tc| &*tc.telemetry);
-                let (seq, bytes) = rec.write_checkpoint(&snap, switch, traffic, telemetry)?;
+                let (seq, bytes) = rec.write_checkpoint(t, &st, switch, traffic, telemetry)?;
                 let event = ObsEvent::CheckpointWritten {
                     slot: now,
                     seq,
@@ -517,6 +523,10 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
         mark(obs, hook, timed, "traffic", true);
         if t < cfg.slots {
             traffic.next_slot(now, &mut arrivals);
+        } else {
+            // Drain slots admit nothing and log an empty arrival list,
+            // however the run reached them.
+            arrivals.clear();
         }
         mark(obs, hook, timed, "traffic", false);
         if let Some(rec) = recovery.as_deref_mut() {
@@ -527,15 +537,13 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
             rec.record_arrivals(t, &arrivals)?;
             mark(obs, hook, timed, "persist", false);
         }
-        let admitted_before = next_packet;
+        let admitted_before = st.next_packet;
         mark(obs, hook, timed, "admit", true);
-        // Drain slots find every entry already taken by the previous
-        // slot's admission, so nothing is admitted.
         for (input, dests) in arrivals.iter_mut().enumerate() {
             if let Some(dests) = dests.take() {
-                next_packet += 1;
+                st.next_packet += 1;
                 switch.admit(Packet::new(
-                    PacketId(next_packet),
+                    PacketId(st.next_packet),
                     now,
                     PortId::new(input),
                     dests,
@@ -565,22 +573,22 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
                 }
             }
         }
-        slots_run = t + 1;
+        st.slots_run = t + 1;
 
         mark(obs, hook, timed, "stats", true);
         if t >= cfg.warmup {
             for d in &outcome.departures {
-                delay.record_copy(d.delay(now), d.last_copy);
+                st.delay.record_copy(d.delay(now), d.last_copy);
             }
-            copies_delivered += outcome.departures.len() as u64;
+            st.copies_delivered += outcome.departures.len() as u64;
             if !outcome.departures.is_empty() {
-                rounds.push_u64(outcome.rounds as u64);
+                st.rounds.push_u64(outcome.rounds as u64);
             }
             switch.queue_sizes(&mut queue_buf);
-            occupancy.sample(&queue_buf);
+            st.occupancy.sample(&queue_buf);
         }
         let capped =
-            t.is_multiple_of(cfg.sample_every) && detector.observe(switch.backlog().copies);
+            t.is_multiple_of(cfg.sample_every) && st.detector.observe(switch.backlog().copies);
         mark(obs, hook, timed, "stats", false);
         if observing {
             mark(obs, hook, timed, "observe", true);
@@ -591,7 +599,7 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
                     switch,
                     now,
                     &outcome,
-                    next_packet - admitted_before,
+                    st.next_packet - admitted_before,
                     sched_ns,
                     wall_ns,
                     &mut quarantine_buf,
@@ -656,14 +664,19 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
         // Terminate the scope's stream: slots in [0, slots_run) with no
         // slot_sched record are idle, not missing — `analyze` relies on
         // this to compute utilisation without guessing.
-        sink.emit(scope, &ObsEvent::RunEnd { slots_run });
+        sink.emit(
+            scope,
+            &ObsEvent::RunEnd {
+                slots_run: st.slots_run,
+            },
+        );
         sink.flush();
     }
     if let Some(tc) = obs.telemetry.as_mut() {
-        tc.end_run(switch, slots_run, &mut quarantine_buf);
+        tc.end_run(switch, st.slots_run, &mut quarantine_buf);
     }
 
-    let measured_slots = slots_run.saturating_sub(cfg.warmup).max(1);
+    let measured_slots = st.slots_run.saturating_sub(cfg.warmup).max(1);
     Ok(RunResult {
         switch_name: switch.name(),
         traffic_name: traffic.name(),
@@ -673,14 +686,14 @@ fn simulate_inner<S: Switch + ?Sized, H: SlotHook<S>>(
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
-        delay: delay.summary(),
-        occupancy: occupancy.summary(),
-        mean_rounds: rounds.mean(),
-        verdict: detector.verdict(),
-        slots_run,
-        packets_admitted: next_packet,
-        copies_delivered,
-        throughput: copies_delivered as f64 / (measured_slots * n as u64) as f64,
+        delay: st.delay.summary(),
+        occupancy: st.occupancy.summary(),
+        mean_rounds: st.rounds.mean(),
+        verdict: st.detector.verdict(),
+        slots_run: st.slots_run,
+        packets_admitted: st.next_packet,
+        copies_delivered: st.copies_delivered,
+        throughput: st.copies_delivered as f64 / (measured_slots * n as u64) as f64,
     })
 }
 
@@ -786,7 +799,7 @@ mod tests {
     fn idle_traffic_produces_empty_result() {
         let mut sw = MulticastVoqSwitch::new(4, 0);
         let mut tr = UniformUnicast::new(4, 0.0, 0).unwrap();
-        let r = simulate(&mut sw, &mut tr, &RunConfig::quick(1000));
+        let r = try_simulate(&mut sw, &mut tr, &RunConfig::quick(1000)).expect("run");
         assert_eq!(r.packets_admitted, 0);
         assert_eq!(r.copies_delivered, 0);
         assert_eq!(r.delay.delivered_copies, 0);
@@ -799,7 +812,7 @@ mod tests {
     fn light_load_fifoms_near_zero_delay() {
         let mut sw = MulticastVoqSwitch::new(8, 1);
         let mut tr = BernoulliMulticast::new(8, 0.05, 0.25, 2).unwrap();
-        let r = simulate(&mut sw, &mut tr, &RunConfig::quick(20_000));
+        let r = try_simulate(&mut sw, &mut tr, &RunConfig::quick(20_000)).expect("run");
         assert!(r.is_stable());
         assert!(
             r.delay.mean_output_oriented < 1.0,
@@ -814,7 +827,7 @@ mod tests {
     fn throughput_matches_offered_load_when_stable() {
         let mut sw = OqFifoSwitch::new(8);
         let mut tr = BernoulliMulticast::new(8, 0.3, 0.25, 3).unwrap();
-        let r = simulate(&mut sw, &mut tr, &RunConfig::quick(40_000));
+        let r = try_simulate(&mut sw, &mut tr, &RunConfig::quick(40_000)).expect("run");
         assert!(r.is_stable());
         // Empty-fanout resampling biases the true load above the nominal
         // p·b·N by 1/(1-(1-b)^N); compare against the corrected value.
@@ -832,7 +845,7 @@ mod tests {
         // Offered load 2.0 — no scheduler can sustain it.
         let mut sw = MulticastVoqSwitch::new(8, 1);
         let mut tr = BernoulliMulticast::new(8, 1.0, 0.25, 4).unwrap();
-        let r = simulate(&mut sw, &mut tr, &RunConfig::quick(20_000));
+        let r = try_simulate(&mut sw, &mut tr, &RunConfig::quick(20_000)).expect("run");
         assert!(r.verdict.is_saturated());
         // throughput is capped near 1.0 per output
         assert!(r.throughput <= 1.01);
@@ -848,7 +861,7 @@ mod tests {
             backlog_cap: 2_000,
             sample_every: 10,
         };
-        let r = simulate(&mut sw, &mut tr, &cfg);
+        let r = try_simulate(&mut sw, &mut tr, &cfg).expect("run");
         assert_eq!(r.verdict, SaturationVerdict::CapExceeded);
         assert!(r.slots_run < 100_000, "run should abort early");
     }
@@ -895,38 +908,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "warmup must be shorter")]
-    fn bad_warmup_rejected() {
-        let mut sw = MulticastVoqSwitch::new(4, 0);
-        let mut tr = UniformUnicast::new(4, 0.1, 0).unwrap();
-        let cfg = RunConfig {
-            slots: 10,
-            warmup: 10,
-            backlog_cap: 100,
-            sample_every: 1,
-        };
-        simulate(&mut sw, &mut tr, &cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "sized differently")]
-    fn size_mismatch_rejected() {
-        let mut sw = MulticastVoqSwitch::new(4, 0);
-        let mut tr = UniformUnicast::new(8, 0.1, 0).unwrap();
-        simulate(&mut sw, &mut tr, &RunConfig::quick(100));
-    }
-
-    #[test]
     fn oq_delay_lower_bounds_fifoms() {
         // At a moderate multicast load the OQ switch (speedup N) can only
         // be better (or equal) on output-oriented delay.
         let cfg = RunConfig::quick(30_000);
         let mut oq = OqFifoSwitch::new(8);
         let mut tr = BernoulliMulticast::new(8, 0.35, 0.25, 7).unwrap();
-        let r_oq = simulate(&mut oq, &mut tr, &cfg);
+        let r_oq = try_simulate(&mut oq, &mut tr, &cfg).expect("run");
         let mut fs = MulticastVoqSwitch::new(8, 7);
         let mut tr = BernoulliMulticast::new(8, 0.35, 0.25, 7).unwrap();
-        let r_fs = simulate(&mut fs, &mut tr, &cfg);
+        let r_fs = try_simulate(&mut fs, &mut tr, &cfg).expect("run");
         assert!(r_oq.is_stable() && r_fs.is_stable());
         assert!(
             r_oq.delay.mean_output_oriented <= r_fs.delay.mean_output_oriented + 0.05,
@@ -986,8 +977,15 @@ mod tests {
             window: Some(1_000),
             ..Probe::default()
         };
-        let r =
-            try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut Observer::none(), &mut probe).unwrap();
+        let r = run(
+            &mut sw,
+            &mut tr,
+            &cfg,
+            &mut Observer::none(),
+            None,
+            &mut probe,
+        )
+        .unwrap();
         assert!(
             r.slots_run > cfg.slots + 10,
             "the drain phase ran: {}",
@@ -1040,6 +1038,15 @@ mod tests {
                 copies: self.queued,
             }
         }
+        fn save_state(&self) -> Result<Vec<u8>, StateError> {
+            let mut w = StateWriter::new();
+            w.put_usize(self.queued);
+            Ok(w.into_bytes())
+        }
+        fn load_state(&mut self, blob: &[u8]) -> Result<(), StateError> {
+            self.queued = StateReader::new(blob).get_usize()?;
+            Ok(())
+        }
     }
 
     #[test]
@@ -1051,11 +1058,80 @@ mod tests {
             window: Some(70),
             ..Probe::default()
         };
-        let r =
-            try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut Observer::none(), &mut probe).unwrap();
+        let r = run(
+            &mut sw,
+            &mut tr,
+            &cfg,
+            &mut Observer::none(),
+            None,
+            &mut probe,
+        )
+        .unwrap();
         assert_eq!(r.slots_run, cfg.slots + 70);
         assert!(sw.backlog().copies > 0);
         assert_eq!(r.copies_delivered, 0);
+    }
+
+    /// A drain window and nothing else: a checkpoint holds no hook
+    /// fields, so a resumed run can take a fresh one.
+    struct Drain(u64);
+
+    impl<S: Switch + ?Sized> SlotHook<S> for Drain {
+        fn drain_window(&self) -> Option<u64> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn a_stalled_drain_killed_twice_keeps_its_stall_window() {
+        let cfg = drain_config(50);
+        let dir = std::env::temp_dir().join(format!("fifoms-stalled-drain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ck = crate::recover::CheckpointConfig {
+            dir: dir.clone(),
+            every: 20,
+        };
+        let attempt = |recovery: Option<(bool, Option<u64>)>| {
+            let mut rec = recovery.map(|(resume, kill)| {
+                let mut rec = if resume {
+                    RecoveryRuntime::open(&ck)
+                } else {
+                    RecoveryRuntime::fresh(&ck)
+                }
+                .expect("state dir");
+                if let Some(slot) = kill {
+                    rec.kill_at(slot);
+                }
+                rec
+            });
+            let mut sw = Blackhole { queued: 0 };
+            let mut tr = BernoulliMulticast::new(4, 0.5, 0.5, 2).unwrap();
+            run(
+                &mut sw,
+                &mut tr,
+                &cfg,
+                &mut Observer::none(),
+                rec.as_mut(),
+                &mut Drain(70),
+            )
+            .map(|r| format!("{r:?}"))
+        };
+        let reference = attempt(None).expect("uninterrupted run");
+        // The stall window opens at slot 50 and closes at 120. Checkpoints
+        // at 60 and 100 fall inside it; the kills at 70 and 110 resume
+        // from them.
+        assert_eq!(
+            attempt(Some((false, Some(70)))),
+            Err(SimError::Killed { slot: 70 })
+        );
+        assert_eq!(
+            attempt(Some((true, Some(110)))),
+            Err(SimError::Killed { slot: 110 })
+        );
+        let recovered = attempt(Some((true, None))).expect("recovered run");
+        assert_eq!(recovered, reference);
+        assert!(reference.contains("slots_run: 120,"), "{reference}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1066,11 +1142,12 @@ mod tests {
             stop_after: Some(37),
             ..Probe::default()
         };
-        let r = try_simulate_hooked(
+        let r = run(
             &mut sw,
             &mut tr,
             &RunConfig::quick(1_000),
             &mut Observer::none(),
+            None,
             &mut probe,
         )
         .unwrap();
@@ -1084,7 +1161,15 @@ mod tests {
         let mut tr = BernoulliMulticast::new(4, 0.3, 0.5, 3).unwrap();
         let cfg = RunConfig::quick(4);
         let mut probe = Probe::default();
-        try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut Observer::none(), &mut probe).unwrap();
+        run(
+            &mut sw,
+            &mut tr,
+            &cfg,
+            &mut Observer::none(),
+            None,
+            &mut probe,
+        )
+        .unwrap();
         let plain = ["traffic", "admit", "schedule", "stats"];
         let expect: Vec<_> = plain
             .iter()
@@ -1107,7 +1192,7 @@ mod tests {
             }),
         };
         let mut probe = Probe::default();
-        try_simulate_hooked(&mut sw, &mut tr, &cfg, &mut obs, &mut probe).unwrap();
+        run(&mut sw, &mut tr, &cfg, &mut obs, None, &mut probe).unwrap();
         let observed: Vec<_> = plain
             .iter()
             .chain(&["observe"])

@@ -13,15 +13,15 @@
 //!
 //! The pieces:
 //!
-//! * [`simulate`] drives one `(switch, traffic)` pair under a
-//!   [`RunConfig`] and yields a [`RunResult`]. It and [`try_simulate`],
-//!   [`try_simulate_observed`], [`try_simulate_recoverable`] and
-//!   [`try_simulate_hooked`] are thin wrappers over the one slot loop in
-//!   the crate. Its optional attachments, an [`Observer`] and a
-//!   [`RecoveryRuntime`], combine freely; a [`SlotHook`] extends the loop
-//!   per slot (drain phase, phase boundaries, early stop) and is how the
-//!   chaos campaign, the allocation audit and the CLI's fairness and
-//!   replay commands run;
+//! * [`run`] drives one `(switch, traffic)` pair under a [`RunConfig`]
+//!   and yields a [`RunResult`]: it is the one entry point of the one
+//!   slot loop in the crate, and [`try_simulate`] and
+//!   [`try_simulate_recoverable`] are one-line shims over it. Its
+//!   attachments, an [`Observer`], a [`RecoveryRuntime`] and a
+//!   [`SlotHook`], combine freely. The hook extends the loop per slot
+//!   (drain phase, phase boundaries, early stop) and is how the chaos
+//!   campaign, the allocation audit and the CLI's fairness and replay
+//!   commands run;
 //! * [`SwitchKind`] / [`TrafficKind`] are buildable specifications of
 //!   every scheduler and workload in the workspace (the experiment
 //!   harness and benches construct sweeps from these);
@@ -37,13 +37,14 @@
 //!   records in the arrival WAL's framing, payloads in the checkpoint
 //!   codec, crash-tolerant, keyed to the exact sweep it belongs to;
 //! * [`report`] renders aligned ASCII tables and CSV files;
-//! * observability rides along opt-in: [`try_simulate_observed`] streams
-//!   per-slot events into an [`EventSink`](fifoms_obs::EventSink) and/or
-//!   samples phase timings, [`SweepObserver`] threads a shared sink and a
-//!   progress meter through the sweep runners, and [`profile_run`] is the
-//!   self-profiling harness behind `fifoms-repro profile`. The disabled
-//!   paths are the plain functions themselves, so unobserved results are
-//!   bit-identical by construction.
+//! * observability rides along opt-in: an [`Observer`] passed to [`run`]
+//!   streams per-slot events into an
+//!   [`EventSink`](fifoms_obs::EventSink) and/or samples phase timings,
+//!   [`SweepObserver`] threads a shared sink and a progress meter through
+//!   the sweep runners, and [`profile_run`] is the self-profiling harness
+//!   behind `fifoms-repro profile`. The disabled path is the same loop
+//!   with nothing attached, so unobserved results are bit-identical by
+//!   construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,8 +71,8 @@ pub use chaos::{
 };
 pub use checkpoint::CheckpointJournal;
 pub use engine::{
-    simulate, try_simulate, try_simulate_hooked, try_simulate_observed, try_simulate_recoverable,
-    Observer, RunConfig, RunResult, SlotHook, TelemetryChannel, TelemetrySpec,
+    run, try_simulate, try_simulate_recoverable, Observer, RunConfig, RunResult, SlotHook,
+    TelemetryChannel, TelemetrySpec,
 };
 pub use guard::{guarded, CellFailureReason};
 pub use overload::{loss_sweep, loss_sweep_observed, LossPoint, LossSweepConfig};
@@ -83,7 +84,7 @@ pub use fifoms_fabric::{
 pub use profile::{profile_run, ProfileReport};
 pub use recover::{
     read_wal, truncate_file, CheckpointConfig, CheckpointStore, RecoveryRuntime, ResumeInfo,
-    RunSnapshot, WalWriter,
+    WalWriter,
 };
 pub use serve::{serve, ServeConfig, ServeReport, SERVE_SCOPE};
 pub use spec::{SwitchKind, TrafficKind};

@@ -14,7 +14,7 @@ use fifoms_core::{AdmissionPolicy, BufferConfig, MulticastVoqSwitch};
 use fifoms_fabric::{CheckedSwitch, Switch};
 use fifoms_traffic::BernoulliMulticast;
 
-use crate::engine::{try_simulate_observed, Observer, RunConfig, TelemetrySpec};
+use crate::engine::{run, Observer, RunConfig, TelemetrySpec};
 
 /// One (load, policy) cell of the loss sweep.
 #[derive(Clone, Debug)]
@@ -169,8 +169,15 @@ fn run_cell(
             _ => None,
         },
     };
-    let run = try_simulate_observed(&mut checker, &mut traffic, &RunConfig::quick(cfg.slots), &mut obs)
-        .expect("sweep cell preconditions hold");
+    let result = run(
+        &mut checker,
+        &mut traffic,
+        &RunConfig::quick(cfg.slots),
+        &mut obs,
+        None,
+        &mut (),
+    )
+    .expect("sweep cell preconditions hold");
     if let Some(v) = checker.violation() {
         panic!("loss sweep cell (load {load}, {:?}) violated: {v}", policy);
     }
@@ -189,8 +196,8 @@ fn run_cell(
         } else {
             dropped as f64 / admitted as f64
         },
-        stable: run.is_stable(),
-        mean_delay: run.delay.mean_output_oriented,
+        stable: result.is_stable(),
+        mean_delay: result.delay.mean_output_oriented,
     }
 }
 

@@ -21,7 +21,7 @@ use fifoms_obs::{Json, PhaseProfiler};
 use fifoms_traffic::TrafficModel;
 use fifoms_types::SimError;
 
-use crate::engine::{try_simulate_observed, Observer, RunConfig, RunResult};
+use crate::engine::{run, Observer, RunConfig, RunResult};
 
 /// One profiled run: the (unperturbed) measurement plus the phase timings.
 #[derive(Debug)]
@@ -89,7 +89,7 @@ pub fn profile_run(
     let sample_every = sample_every.max(1);
     let mut profiler = PhaseProfiler::new();
     let started = Instant::now();
-    let result = try_simulate_observed(
+    let result = run(
         switch,
         traffic,
         cfg,
@@ -98,6 +98,8 @@ pub fn profile_run(
             profiler: Some((&mut profiler, sample_every)),
             telemetry: None,
         },
+        None,
+        &mut (),
     )?;
     let total_ns = started.elapsed().as_nanos() as u64;
     Ok(ProfileReport {

@@ -20,11 +20,11 @@
 //!   silently different run). The WAL is truncated at every checkpoint.
 //! * [`RecoveryRuntime`] — the engine-facing driver: decides when a
 //!   checkpoint is due, captures/encodes/applies the full run state
-//!   (engine counters, statistics accumulators, switch stack, traffic
-//!   model, optional telemetry), tracks the absolute trace byte offset so
-//!   a resumed trace continues exactly where the checkpoint left it, and
-//!   hosts the deliberate `kill_at` crash hook the kill-and-recover tests
-//!   drive.
+//!   (one framed blob each for the engine state, the switch stack, the
+//!   traffic model and the optional telemetry), tracks the absolute trace
+//!   byte offset so a resumed trace continues exactly where the
+//!   checkpoint left it, and hosts the deliberate `kill_at` crash hook
+//!   the kill-and-recover tests drive.
 //!
 //! Bit-identity hinges on one ordering rule: the checkpoint is taken at
 //! the *top* of slot `t`, before the slot's traffic draw, and the trace
@@ -41,22 +41,26 @@ use std::path::{Path, PathBuf};
 
 use fifoms_fabric::Switch;
 use fifoms_obs::{sweep_stale_tmp, write_atomically, Telemetry, TraceOffset};
-use fifoms_stats::{
-    DelayStats, Histogram, OccupancyTracker, RunningStat, SaturationDetector,
-};
 use fifoms_traffic::TrafficModel;
 use fifoms_types::{
     crc32, frame_state, unframe_state, Checkpoint, PortSet, SimError, StateError, StateReader,
     StateWriter,
 };
 
+use crate::engine::EngineState;
+
 /// Envelope kind of a checkpoint *file* (the on-disk wrapper carrying the
 /// sequence number plus the run-state blob).
 const FILE_KIND: &str = "fifoms-checkpoint-file";
+/// Payload layout version of the file envelope.
+const FILE_V1: u16 = 1;
 /// Envelope kind of the run-state blob itself.
 const RUN_KIND: &str = "fifoms-run";
-/// Payload layout version of both envelopes.
-const STATE_V1: u16 = 1;
+/// Payload layout version of the run-state blob: `slot | trace_offset |
+/// engine | switch | traffic | telemetry?`, each part after the two
+/// counters one framed component blob. Version 1 wrote the engine's
+/// fields inline.
+const RUN_V2: u16 = 2;
 
 /// Where and how often to checkpoint a run.
 #[derive(Clone, Debug)]
@@ -108,7 +112,7 @@ impl CheckpointStore {
         let mut w = StateWriter::new();
         w.put_u64(seq);
         w.put_bytes(state);
-        let blob = frame_state(FILE_KIND, STATE_V1, &w.into_bytes());
+        let blob = frame_state(FILE_KIND, FILE_V1, &w.into_bytes());
         let path = self.file_path(seq);
         write_atomically(&path, &blob).map_err(|e| io_recovery(&path, "write checkpoint", e))?;
         Ok(blob.len() as u64)
@@ -129,7 +133,7 @@ impl CheckpointStore {
             let Ok((version, payload)) = unframe_state(&blob, FILE_KIND) else {
                 continue;
             };
-            if version != STATE_V1 {
+            if version != FILE_V1 {
                 continue;
             }
             let mut r = StateReader::new(payload);
@@ -228,12 +232,15 @@ pub(crate) fn seal_record(buf: Vec<u8>, encode: impl FnOnce(&mut StateWriter)) -
 /// The valid prefix of a log of [`seal_record`] records: the payloads of
 /// the leading records whose length and CRC check, and the byte length
 /// of that prefix. The first torn, truncated or CRC-mismatching record
-/// (the tail a crash tore off, or a corrupt record) ends it.
+/// (the tail a crash tore off, or a corrupt record) ends it, and so does
+/// an empty one: no writer seals an empty payload, but eight zero bytes,
+/// a tail a filesystem zero-filled, would pass as one (`crc32` of no
+/// bytes is 0).
 pub(crate) fn valid_records(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
     let le_u32 = |at: usize| Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?));
     let mut payloads = Vec::new();
     let mut pos = 0usize;
-    while let Some(len) = le_u32(pos) {
+    while let Some(len) = le_u32(pos).filter(|&len| len != 0) {
         let end = pos + 4 + len as usize;
         let (Some(payload), Some(crc)) = (bytes.get(pos + 4..end), le_u32(end)) else {
             break;
@@ -281,204 +288,28 @@ fn decode_wal_payload(payload: &[u8]) -> Option<(u64, Vec<Option<PortSet>>)> {
     Some((slot, arrivals))
 }
 
-fn put_running(w: &mut StateWriter, s: &RunningStat) {
-    let (count, mean, m2, min, max) = s.raw();
-    w.put_u64(count);
-    w.put_f64(mean);
-    w.put_f64(m2);
-    w.put_f64(min);
-    w.put_f64(max);
-}
-
-fn get_running(r: &mut StateReader<'_>) -> Result<RunningStat, StateError> {
-    Ok(RunningStat::from_raw(
-        r.get_u64()?,
-        r.get_f64()?,
-        r.get_f64()?,
-        r.get_f64()?,
-        r.get_f64()?,
-    ))
-}
-
-fn put_histogram(w: &mut StateWriter, h: &Histogram) {
-    let (buckets, overflow_count, overflow_sum, total, sum, max) = h.raw();
-    w.put_usize(buckets.len());
-    for &b in buckets {
-        w.put_u64(b);
-    }
-    w.put_u64(overflow_count);
-    w.put_u128(overflow_sum);
-    w.put_u64(total);
-    w.put_u128(sum);
-    w.put_u64(max);
-}
-
-fn get_histogram(r: &mut StateReader<'_>) -> Result<Histogram, StateError> {
-    let len = r.get_usize()?;
-    if len > 1 << 24 {
-        return Err(StateError::Malformed {
-            what: format!("histogram bucket count {len}"),
-        });
-    }
-    let mut buckets = Vec::with_capacity(len);
-    for _ in 0..len {
-        buckets.push(r.get_u64()?);
-    }
-    Ok(Histogram::from_raw(
-        buckets,
-        r.get_u64()?,
-        r.get_u128()?,
-        r.get_u64()?,
-        r.get_u128()?,
-        r.get_u64()?,
-    ))
-}
-
-fn put_delay(w: &mut StateWriter, d: &DelayStats) {
-    let (input, output, input_hist, output_hist) = d.raw();
-    put_running(w, input);
-    put_running(w, output);
-    put_histogram(w, input_hist);
-    put_histogram(w, output_hist);
-}
-
-fn get_delay(r: &mut StateReader<'_>) -> Result<DelayStats, StateError> {
-    let input = get_running(r)?;
-    let output = get_running(r)?;
-    let input_hist = get_histogram(r)?;
-    let output_hist = get_histogram(r)?;
-    Ok(DelayStats::from_raw(input, output, input_hist, output_hist))
-}
-
-fn put_occupancy(w: &mut StateWriter, o: &OccupancyTracker) {
-    let (per_port, overall, max) = o.raw();
-    w.put_usize(per_port.len());
-    for s in per_port {
-        put_running(w, s);
-    }
-    put_running(w, overall);
-    w.put_usize(max);
-}
-
-fn get_occupancy(r: &mut StateReader<'_>) -> Result<OccupancyTracker, StateError> {
-    let ports = r.get_usize()?;
-    if ports > u16::MAX as usize {
-        return Err(StateError::Malformed {
-            what: format!("occupancy port count {ports}"),
-        });
-    }
-    let mut per_port = Vec::with_capacity(ports);
-    for _ in 0..ports {
-        per_port.push(get_running(r)?);
-    }
-    let overall = get_running(r)?;
-    let max = r.get_usize()?;
-    Ok(OccupancyTracker::from_raw(per_port, overall, max))
-}
-
-fn put_detector(w: &mut StateWriter, d: &SaturationDetector) {
-    let (samples, cap_hit) = d.raw();
-    w.put_usize(samples.len());
-    for &s in samples {
-        w.put_usize(s);
-    }
-    w.put_bool(cap_hit);
-}
-
-fn get_detector_fields(r: &mut StateReader<'_>) -> Result<(Vec<usize>, bool), StateError> {
-    let len = r.get_usize()?;
-    if len > 1 << 32 {
-        return Err(StateError::Malformed {
-            what: format!("saturation sample count {len}"),
-        });
-    }
-    let mut samples = Vec::with_capacity(len);
-    for _ in 0..len {
-        samples.push(r.get_usize()?);
-    }
-    let cap_hit = r.get_bool()?;
-    Ok((samples, cap_hit))
-}
-
-/// Borrowed view of everything the engine must persist at a checkpoint,
-/// besides the switch / traffic / telemetry components themselves.
-pub struct RunSnapshot<'a> {
-    /// The slot the checkpoint is taken at (the loop restarts here).
-    pub slot: u64,
-    /// Next-packet-id counter.
-    pub next_packet: u64,
-    /// Post-warmup copies delivered so far.
-    pub copies_delivered: u64,
-    /// Slots executed so far.
-    pub slots_run: u64,
-    /// Absolute trace byte offset at the checkpoint (0 when untraced).
-    pub trace_offset: u64,
-    /// Delay accumulators.
-    pub delay: &'a DelayStats,
-    /// Queue-occupancy accumulators.
-    pub occupancy: &'a OccupancyTracker,
-    /// Convergence-rounds accumulator.
-    pub rounds: &'a RunningStat,
-    /// Saturation detector (backlog samples + cap latch).
-    pub detector: &'a SaturationDetector,
-}
-
-/// Engine state decoded from a run checkpoint, handed back to
-/// `simulate_inner` to overwrite its locals on resume.
-pub struct AppliedResume {
-    /// Slot to restart the loop at.
-    pub slot: u64,
-    /// Next-packet-id counter.
-    pub next_packet: u64,
-    /// Post-warmup copies delivered.
-    pub copies_delivered: u64,
-    /// Slots executed.
-    pub slots_run: u64,
-    /// Delay accumulators.
-    pub delay: DelayStats,
-    /// Queue-occupancy accumulators.
-    pub occupancy: OccupancyTracker,
-    /// Convergence-rounds accumulator.
-    pub rounds: RunningStat,
-    /// Restored backlog samples (applied into a detector built from the
-    /// run configuration via [`SaturationDetector::restore_raw`]).
-    pub detector_samples: Vec<usize>,
-    /// Whether the backlog cap had already been hit.
-    pub detector_cap_hit: bool,
-}
-
-struct DecodedRunState {
+/// The component blobs of the checkpoint a runtime resumes from.
+struct Resume {
     slot: u64,
-    next_packet: u64,
-    copies_delivered: u64,
-    slots_run: u64,
     trace_offset: u64,
-    delay: DelayStats,
-    occupancy: OccupancyTracker,
-    rounds: RunningStat,
-    detector_samples: Vec<usize>,
-    detector_cap_hit: bool,
-    switch_blob: Vec<u8>,
-    traffic_blob: Vec<u8>,
-    telemetry_blob: Option<Vec<u8>>,
+    engine: Vec<u8>,
+    switch: Vec<u8>,
+    traffic: Vec<u8>,
+    telemetry: Option<Vec<u8>>,
 }
 
 fn encode_run_state<S: Switch + ?Sized>(
-    snap: &RunSnapshot<'_>,
+    slot: u64,
+    trace_offset: u64,
+    engine: &EngineState,
     switch: &S,
     traffic: &dyn TrafficModel,
     telemetry: Option<&Telemetry>,
 ) -> Result<Vec<u8>, SimError> {
     let mut w = StateWriter::new();
-    w.put_u64(snap.slot);
-    w.put_u64(snap.next_packet);
-    w.put_u64(snap.copies_delivered);
-    w.put_u64(snap.slots_run);
-    w.put_u64(snap.trace_offset);
-    put_delay(&mut w, snap.delay);
-    put_occupancy(&mut w, snap.occupancy);
-    put_running(&mut w, snap.rounds);
-    put_detector(&mut w, snap.detector);
+    w.put_u64(slot);
+    w.put_u64(trace_offset);
+    w.put_bytes(&engine.snapshot_state());
     w.put_bytes(&switch.save_state()?);
     w.put_bytes(&traffic.save_state()?);
     match telemetry {
@@ -488,50 +319,32 @@ fn encode_run_state<S: Switch + ?Sized>(
         }
         None => w.put_bool(false),
     }
-    Ok(frame_state(RUN_KIND, STATE_V1, &w.into_bytes()))
+    Ok(frame_state(RUN_KIND, RUN_V2, &w.into_bytes()))
 }
 
-fn decode_run_state(blob: &[u8]) -> Result<DecodedRunState, StateError> {
+fn decode_run_state(blob: &[u8]) -> Result<Resume, StateError> {
     let (version, payload) = unframe_state(blob, RUN_KIND)?;
-    if version != STATE_V1 {
+    if version != RUN_V2 {
         return Err(StateError::VersionUnsupported {
             kind: RUN_KIND.to_string(),
             got: version,
         });
     }
     let mut r = StateReader::new(payload);
-    let slot = r.get_u64()?;
-    let next_packet = r.get_u64()?;
-    let copies_delivered = r.get_u64()?;
-    let slots_run = r.get_u64()?;
-    let trace_offset = r.get_u64()?;
-    let delay = get_delay(&mut r)?;
-    let occupancy = get_occupancy(&mut r)?;
-    let rounds = get_running(&mut r)?;
-    let (detector_samples, detector_cap_hit) = get_detector_fields(&mut r)?;
-    let switch_blob = r.get_bytes()?.to_vec();
-    let traffic_blob = r.get_bytes()?.to_vec();
-    let telemetry_blob = if r.get_bool()? {
-        Some(r.get_bytes()?.to_vec())
-    } else {
-        None
+    let resume = Resume {
+        slot: r.get_u64()?,
+        trace_offset: r.get_u64()?,
+        engine: r.get_bytes()?.to_vec(),
+        switch: r.get_bytes()?.to_vec(),
+        traffic: r.get_bytes()?.to_vec(),
+        telemetry: if r.get_bool()? {
+            Some(r.get_bytes()?.to_vec())
+        } else {
+            None
+        },
     };
     r.expect_exhausted()?;
-    Ok(DecodedRunState {
-        slot,
-        next_packet,
-        copies_delivered,
-        slots_run,
-        trace_offset,
-        delay,
-        occupancy,
-        rounds,
-        detector_samples,
-        detector_cap_hit,
-        switch_blob,
-        traffic_blob,
-        telemetry_blob,
-    })
+    Ok(resume)
 }
 
 /// What a resume found on disk — surfaced so the supervisor can emit
@@ -544,8 +357,10 @@ pub struct ResumeInfo {
     pub slot: u64,
     /// Valid WAL records found for the gap replay.
     pub wal_records: usize,
-    /// Checkpoint files present on disk that failed validation and were
-    /// skipped (the corruption-fallback count).
+    /// Checkpoint files present on disk that were skipped: those that
+    /// failed validation, and newer ones whose run state did not decode
+    /// (the corruption-fallback count). A checkpoint an earlier build
+    /// wrote in another run-state version counts here too.
     pub rejected: usize,
 }
 
@@ -557,7 +372,7 @@ pub struct RecoveryRuntime {
     kill_at: Option<u64>,
     trace_counter: Option<TraceOffset>,
     trace_base: u64,
-    resume: Option<DecodedRunState>,
+    resume: Option<Resume>,
     resume_info: Option<ResumeInfo>,
     replay: VecDeque<(u64, Vec<Option<PortSet>>)>,
     replayed: u64,
@@ -572,9 +387,10 @@ impl RecoveryRuntime {
     }
 
     /// Open the directory and resume from the newest valid checkpoint if
-    /// one exists, else start fresh. Corrupt checkpoint files are skipped
-    /// (falling back to the other rotation slot); their count is reported
-    /// in [`ResumeInfo::rejected`].
+    /// one exists, else start fresh. Corrupt checkpoint files, and those
+    /// whose run state does not decode, are skipped (falling back to the
+    /// other rotation slot); their count is reported in
+    /// [`ResumeInfo::rejected`].
     pub fn open(cfg: &CheckpointConfig) -> Result<RecoveryRuntime, SimError> {
         RecoveryRuntime::build(cfg, true)
     }
@@ -592,26 +408,30 @@ impl RecoveryRuntime {
         let mut replay = VecDeque::new();
         if resume {
             let candidates = store.load_candidates();
-            let present = count_checkpoint_files(&cfg.dir);
-            for (seq, state) in &candidates {
-                match decode_run_state(state) {
-                    Ok(state) => {
-                        let records: VecDeque<_> = read_wal(&wal_path)
-                            .into_iter()
-                            .filter(|(slot, _)| *slot >= state.slot)
-                            .collect();
-                        info = Some(ResumeInfo {
-                            seq: *seq,
-                            slot: state.slot,
-                            wal_records: records.len(),
-                            rejected: present.saturating_sub(candidates.len()),
-                        });
-                        replay = records;
-                        decoded = Some(state);
-                        break;
-                    }
-                    Err(_) => continue,
-                }
+            let invalid = count_checkpoint_files(&cfg.dir).saturating_sub(candidates.len());
+            // The newest candidate whose run state decodes; the `skipped`
+            // newer ones did not.
+            let newest = candidates
+                .iter()
+                .enumerate()
+                .find_map(|(skipped, (seq, state))| {
+                    decode_run_state(state)
+                        .ok()
+                        .map(|state| (skipped, *seq, state))
+                });
+            if let Some((skipped, seq, state)) = newest {
+                let records: VecDeque<_> = read_wal(&wal_path)
+                    .into_iter()
+                    .filter(|(slot, _)| *slot >= state.slot)
+                    .collect();
+                info = Some(ResumeInfo {
+                    seq,
+                    slot: state.slot,
+                    wal_records: records.len(),
+                    rejected: invalid + skipped,
+                });
+                replay = records;
+                decoded = Some(state);
             }
         }
         // Opening the writer truncates the WAL: replayed slots are
@@ -639,23 +459,13 @@ impl RecoveryRuntime {
     }
 
     /// Whether the deliberate kill fires at `slot`.
-    pub fn kill_due(&self, slot: u64) -> bool {
+    pub(crate) fn kill_due(&self, slot: u64) -> bool {
         self.kill_at == Some(slot)
     }
 
     /// Whether a checkpoint is due at the top of `slot`.
-    pub fn checkpoint_due(&self, slot: u64) -> bool {
+    pub(crate) fn checkpoint_due(&self, slot: u64) -> bool {
         slot != 0 && slot.is_multiple_of(self.every)
-    }
-
-    /// The configured checkpoint interval.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Whether this runtime will resume rather than start at slot 0.
-    pub fn is_resuming(&self) -> bool {
-        self.resume.is_some()
     }
 
     /// What the resume found, if this runtime is resuming.
@@ -684,22 +494,23 @@ impl RecoveryRuntime {
         self.trace_base + self.trace_counter.as_ref().map_or(0, TraceOffset::bytes)
     }
 
-    /// Restore the switch stack, traffic model and (optionally) telemetry
-    /// from the pending resume state, returning the engine-local fields.
-    ///
-    /// Returns `Ok(None)` when there is nothing to resume.
-    pub fn apply_resume<S: Switch + ?Sized>(
+    /// Restore `engine`, the switch stack, the traffic model and
+    /// (optionally) telemetry from the pending resume state, returning
+    /// the slot the run restarts at: 0 when there is nothing to resume.
+    pub(crate) fn apply_resume<S: Switch + ?Sized>(
         &mut self,
+        engine: &mut EngineState,
         switch: &mut S,
         traffic: &mut dyn TrafficModel,
         telemetry: Option<&mut Telemetry>,
-    ) -> Result<Option<AppliedResume>, SimError> {
+    ) -> Result<u64, SimError> {
         let Some(rs) = self.resume.take() else {
-            return Ok(None);
+            return Ok(0);
         };
-        switch.load_state(&rs.switch_blob)?;
-        traffic.load_state(&rs.traffic_blob)?;
-        match (telemetry, rs.telemetry_blob) {
+        engine.restore_state(&rs.engine)?;
+        switch.load_state(&rs.switch)?;
+        traffic.load_state(&rs.traffic)?;
+        match (telemetry, rs.telemetry) {
             (Some(t), Some(blob)) => t.restore_state(&blob)?,
             (None, None) => {}
             (Some(_), None) => {
@@ -716,47 +527,34 @@ impl RecoveryRuntime {
             }
         }
         self.trace_base = rs.trace_offset;
-        Ok(Some(AppliedResume {
-            slot: rs.slot,
-            next_packet: rs.next_packet,
-            copies_delivered: rs.copies_delivered,
-            slots_run: rs.slots_run,
-            delay: rs.delay,
-            occupancy: rs.occupancy,
-            rounds: rs.rounds,
-            detector_samples: rs.detector_samples,
-            detector_cap_hit: rs.detector_cap_hit,
-        }))
+        Ok(rs.slot)
     }
 
-    /// Capture, encode and atomically persist a checkpoint at
-    /// `snap.slot`, then truncate the WAL it supersedes. Returns
-    /// `(seq, bytes_written, trace_offset)` for the `checkpoint_written`
-    /// event.
-    pub fn write_checkpoint<S: Switch + ?Sized>(
+    /// Capture, encode and atomically persist a checkpoint at the top of
+    /// `slot`, recording the absolute trace offset, then truncate the WAL
+    /// it supersedes. Returns `(seq, bytes_written)` for the
+    /// `checkpoint_written` event.
+    pub(crate) fn write_checkpoint<S: Switch + ?Sized>(
         &mut self,
-        snap: &RunSnapshot<'_>,
+        slot: u64,
+        engine: &EngineState,
         switch: &S,
         traffic: &dyn TrafficModel,
         telemetry: Option<&Telemetry>,
     ) -> Result<(u64, u64), SimError> {
-        let state = encode_run_state(snap, switch, traffic, telemetry)?;
-        let seq = snap.slot / self.every;
+        let trace_offset = self.absolute_trace_offset();
+        let state = encode_run_state(slot, trace_offset, engine, switch, traffic, telemetry)?;
+        let seq = slot / self.every;
         let bytes = self.store.save(seq, &state)?;
         self.wal.reset()?;
         Ok((seq, bytes))
-    }
-
-    /// The absolute trace offset to record in a [`RunSnapshot`].
-    pub fn trace_offset_now(&self) -> u64 {
-        self.absolute_trace_offset()
     }
 
     /// Log one slot's arrivals to the WAL; while inside the replay window
     /// of a resumed run, first verify the regenerated arrivals match the
     /// logged ones (divergence means the restored traffic model is not
     /// reproducing the pre-crash run).
-    pub fn record_arrivals(
+    pub(crate) fn record_arrivals(
         &mut self,
         slot: u64,
         arrivals: &[Option<PortSet>],
@@ -887,10 +685,10 @@ mod tests {
 
     #[test]
     fn valid_records_reports_the_whole_record_prefix() {
-        // Three records of different lengths, one with an empty payload.
+        // Three records of different lengths.
         let records = [
             seal_record(Vec::new(), |w| w.put_u64(7)),
-            seal_record(Vec::new(), |_| {}),
+            seal_record(Vec::new(), |w| w.put_bool(true)),
             seal_record(Vec::new(), |w| w.put_str("the third record")),
         ];
         let log = records.concat();
@@ -925,6 +723,13 @@ mod tests {
         let mut overrun = log.clone();
         overrun[ends[0]..ends[0] + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let (payloads, valid_len) = valid_records(&overrun);
+        assert_eq!((payloads.len(), valid_len), (1, ends[0]));
+        // An empty record ends the prefix too, though its CRC checks: it
+        // is what a zero-filled tail reads as.
+        let empty = seal_record(Vec::new(), |_| {});
+        assert_eq!(empty, [0; 8]);
+        let with_empty = [&records[0][..], &empty, &records[2]].concat();
+        let (payloads, valid_len) = valid_records(&with_empty);
         assert_eq!((payloads.len(), valid_len), (1, ends[0]));
     }
 
@@ -965,7 +770,6 @@ mod tests {
             every: 100,
         })
         .expect("open");
-        assert!(!rec.is_resuming());
         assert!(rec.resume_info().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1043,12 +847,17 @@ mod tests {
             run_to_completion(&ref_dir, &ref_trace, &cfg, 400, None, false).expect("reference");
 
         // Kill at a slot between checkpoints, then resume: the replay gap
-        // (1200..1300) is verified against the WAL.
+        // (1200..1300) is verified against the WAL. The resumed run is
+        // killed again after writing the checkpoint at 1600, whose trace
+        // offset must count the bytes written before the first kill too.
         let dir = test_dir("kill");
         let trace = dir.join("trace.jsonl");
         let err = run_to_completion(&dir, &trace, &cfg, 400, Some(1_300), false)
             .expect_err("kill must abort");
         assert_eq!(err, SimError::Killed { slot: 1_300 });
+        let err = run_to_completion(&dir, &trace, &cfg, 400, Some(1_700), true)
+            .expect_err("second kill must abort");
+        assert_eq!(err, SimError::Killed { slot: 1_700 });
         let recovered = run_to_completion(&dir, &trace, &cfg, 400, None, true).expect("recover");
 
         assert_eq!(recovered.slots_run, reference.slots_run);
@@ -1102,6 +911,32 @@ mod tests {
         assert_eq!(info.seq, 3);
         assert_eq!(info.wal_records, 50, "slots 600..650 were logged");
         assert_eq!(info.rejected, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_whose_run_state_does_not_decode_is_rejected() {
+        let cfg = RunConfig::quick(1_000);
+        let dir = test_dir("undecodable");
+        let trace = dir.join("trace.jsonl");
+        let err = run_to_completion(&dir, &trace, &cfg, 400, Some(500), false)
+            .expect_err("kill must abort");
+        assert_eq!(err, SimError::Killed { slot: 500 });
+        // A newer checkpoint whose file frame is valid but whose run state
+        // does not decode, like one an earlier build wrote in run-state
+        // version 1.
+        CheckpointStore::open(&dir)
+            .expect("store")
+            .save(2, b"not a run state")
+            .expect("save");
+        let rec = RecoveryRuntime::open(&CheckpointConfig {
+            dir: dir.clone(),
+            every: 400,
+        })
+        .expect("open");
+        let info = rec.resume_info().expect("resuming");
+        assert_eq!((info.seq, info.slot), (1, 400));
+        assert_eq!(info.rejected, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -22,7 +22,7 @@ use fifoms_obs::{EventSink, ProgressMeter};
 use fifoms_types::SimError;
 
 use crate::checkpoint::CheckpointJournal;
-use crate::engine::{try_simulate_observed, Observer, RunConfig, RunResult, TelemetrySpec};
+use crate::engine::{run, Observer, RunConfig, RunResult, TelemetrySpec};
 use crate::guard::{guarded, CellFailureReason};
 use crate::spec::{SwitchKind, TrafficKind};
 
@@ -177,21 +177,23 @@ fn exec_cell(spec: &CellSpec) -> Result<SweepRow, SimError> {
     } else {
         built
     };
+    let mut run_on =
+        |sw: &mut dyn Switch| run(sw, traffic.as_mut(), &spec.run, &mut obs, None, &mut ());
     let result = match (spec.check_every, spec.faults) {
         (None, None) => {
             let mut sw = inner;
-            try_simulate_observed(sw.as_mut(), traffic.as_mut(), &spec.run, &mut obs)?
+            run_on(sw.as_mut())?
         }
         (None, Some(fc)) => {
             let mut sw = FaultyFabric::new(inner, fc);
             if tracing {
                 sw = sw.with_event_recording();
             }
-            try_simulate_observed(&mut sw, traffic.as_mut(), &spec.run, &mut obs)?
+            run_on(&mut sw)?
         }
         (Some(k), None) => {
             let mut sw = CheckedSwitch::with_check_every(inner, k);
-            let r = try_simulate_observed(&mut sw, traffic.as_mut(), &spec.run, &mut obs)?;
+            let r = run_on(&mut sw)?;
             if let Some(v) = sw.violation() {
                 return Err(SimError::Invariant(v.clone()));
             }
@@ -202,7 +204,7 @@ fn exec_cell(spec: &CellSpec) -> Result<SweepRow, SimError> {
             if tracing {
                 sw = sw.with_event_recording();
             }
-            let r = try_simulate_observed(&mut sw, traffic.as_mut(), &spec.run, &mut obs)?;
+            let r = run_on(&mut sw)?;
             if let Some(v) = sw.inner().violation() {
                 return Err(SimError::Invariant(v.clone()));
             }

@@ -18,11 +18,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use fifoms_core::MulticastVoqSwitch;
-use fifoms_obs::{CountingWriter, JsonlSink, Telemetry, WindowStats};
+use fifoms_obs::{CountingWriter, JsonlSink, PhaseProfiler, RecordingSink, Telemetry, WindowStats};
 use fifoms_sim::{
-    truncate_file, try_simulate_recoverable, CheckedSwitch, CheckpointConfig, FaultConfig,
-    FaultyFabric, InstrumentedSwitch, Observer, RecoveryRuntime, RunConfig, RunResult, SwitchKind,
-    TelemetryChannel, TrafficKind,
+    run, truncate_file, try_simulate_recoverable, CheckedSwitch, CheckpointConfig, FaultConfig,
+    FaultyFabric, InstrumentedSwitch, Observer, RecoveryRuntime, RunConfig, RunResult, SlotHook,
+    SwitchKind, TelemetryChannel, TrafficKind,
 };
 use fifoms_types::{frame_state, unframe_state, InvariantViolation, SimError};
 
@@ -386,5 +386,124 @@ fn killed_campaign_stack_with_observer_recovers_bit_identically() {
         reference.windows, recovered.windows,
         "telemetry windows diverged"
     );
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// A drain window and nothing else: a checkpoint holds no hook fields,
+/// so a resumed run takes a fresh one.
+struct Drain(u64);
+
+impl<S: fifoms_fabric::Switch + ?Sized> SlotHook<S> for Drain {
+    fn drain_window(&self) -> Option<u64> {
+        Some(self.0)
+    }
+}
+
+const MATRIX_SLOTS: u64 = 1_500;
+const MATRIX_EVERY: u64 = 400;
+/// A loaded slot between the checkpoints at 1200 and 1600.
+const MATRIX_LOADED_KILL: u64 = 1_300;
+/// A drain slot after the checkpoint at 1600.
+const MATRIX_DRAIN_KILL: u64 = 1_650;
+
+const SINK: u32 = 1;
+const PROFILER: u32 = 2;
+const TELEMETRY: u32 = 4;
+const RECOVERY: u32 = 8;
+const HOOK: u32 = 16;
+
+/// One attempt of one matrix cell: the campaign stack at N=8 with egress
+/// faults under the attachments the `cell` bits name. With `RECOVERY`,
+/// `rec` is the cell's recovery runtime.
+fn matrix_attempt(cell: u32, rec: Option<&mut RecoveryRuntime>) -> Result<RunResult, SimError> {
+    const N: usize = 8;
+    const SEED: u64 = 41;
+    let cfg = RunConfig {
+        slots: MATRIX_SLOTS,
+        warmup: MATRIX_SLOTS / 4,
+        backlog_cap: 100_000,
+        sample_every: 50,
+    };
+    let core = MulticastVoqSwitch::new(N, SEED).with_quarantine_slots(200);
+    let mut switch = CheckedSwitch::new(
+        FaultyFabric::new(InstrumentedSwitch::new(core), FaultConfig::egress(SEED))
+            .with_event_recording(),
+    );
+    let mut traffic = TrafficKind::bernoulli_at_load(1.05, 0.25, N).build(N, SEED ^ 0x5a5a);
+    let sink = RecordingSink::new();
+    let mut profiler = PhaseProfiler::new();
+    let mut telemetry = Telemetry::new(N, 250);
+    let mut obs = Observer {
+        sink: (cell & SINK != 0).then_some((&sink as &dyn fifoms_obs::EventSink, "matrix")),
+        profiler: (cell & PROFILER != 0).then_some((&mut profiler, 7)),
+        telemetry: (cell & TELEMETRY != 0).then_some(TelemetryChannel {
+            telemetry: &mut telemetry,
+            series: None,
+            bus: None,
+        }),
+    };
+    if cell & HOOK != 0 {
+        run(
+            &mut switch,
+            traffic.as_mut(),
+            &cfg,
+            &mut obs,
+            rec,
+            &mut Drain(300),
+        )
+    } else {
+        run(&mut switch, traffic.as_mut(), &cfg, &mut obs, rec, &mut ())
+    }
+}
+
+/// Features that can be enabled together are tested together: every
+/// subset of {sink, profiler, telemetry, recovery with a kill, a hook
+/// with a drain window} gives the `RunResult` of the bare run, or of the
+/// run with only the hook when the hook is attached. In hooked recovery
+/// cells the kill falls inside the drain phase.
+#[test]
+fn every_attachment_subset_gives_the_reference_result() {
+    let base = test_dir("matrix");
+    let _ = fs::remove_dir_all(&base);
+    let bare = format!("{:?}", matrix_attempt(0, None).expect("bare run"));
+    let hooked = matrix_attempt(HOOK, None).expect("hooked run");
+    assert!(
+        hooked.slots_run > MATRIX_DRAIN_KILL,
+        "the drain phase must outlast the kill: {}",
+        hooked.slots_run
+    );
+    let hooked = format!("{hooked:?}");
+    for cell in 0..32u32 {
+        let result = if cell & RECOVERY != 0 {
+            let ck = CheckpointConfig {
+                dir: base.join(format!("cell-{cell}")),
+                every: MATRIX_EVERY,
+            };
+            let kill = if cell & HOOK != 0 {
+                MATRIX_DRAIN_KILL
+            } else {
+                MATRIX_LOADED_KILL
+            };
+            let mut rec = RecoveryRuntime::fresh(&ck).expect("fresh state dir");
+            rec.kill_at(kill);
+            match matrix_attempt(cell, Some(&mut rec)) {
+                Err(SimError::Killed { slot }) => assert_eq!(slot, kill, "cell {cell}"),
+                other => panic!("cell {cell}: expected the kill, got {other:?}"),
+            }
+            drop(rec);
+            let mut rec = RecoveryRuntime::open(&ck).expect("reopen state dir");
+            let info = rec.resume_info().expect("a checkpoint to resume from");
+            assert_eq!(info.slot, kill / MATRIX_EVERY * MATRIX_EVERY, "cell {cell}");
+            matrix_attempt(cell, Some(&mut rec))
+        } else {
+            matrix_attempt(cell, None)
+        };
+        let got = format!(
+            "{:?}",
+            result.unwrap_or_else(|e| panic!("cell {cell}: {e}"))
+        );
+        let want = if cell & HOOK != 0 { &hooked } else { &bare };
+        assert_eq!(&got, want, "cell {cell} diverged");
+    }
     let _ = fs::remove_dir_all(&base);
 }

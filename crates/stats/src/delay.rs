@@ -1,6 +1,7 @@
 //! Composite recorder for the paper's two delay metrics.
 
 use crate::{Histogram, RunningStat};
+use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
 
 /// Default exact-bucket range for delay histograms (slots).
 const DELAY_HIST_CAP: usize = 4096;
@@ -64,33 +65,6 @@ impl DelayStats {
         if last_copy {
             self.input_oriented.push_u64(delay);
             self.input_hist.record(delay);
-        }
-    }
-
-    /// The recorder's component estimators
-    /// `(input_oriented, output_oriented, input_hist, output_hist)` for
-    /// checkpoint serialisation.
-    pub fn raw(&self) -> (&RunningStat, &RunningStat, &Histogram, &Histogram) {
-        (
-            &self.input_oriented,
-            &self.output_oriented,
-            &self.input_hist,
-            &self.output_hist,
-        )
-    }
-
-    /// Rebuild a recorder from components captured by [`DelayStats::raw`].
-    pub fn from_raw(
-        input_oriented: RunningStat,
-        output_oriented: RunningStat,
-        input_hist: Histogram,
-        output_hist: Histogram,
-    ) -> DelayStats {
-        DelayStats {
-            input_oriented,
-            output_oriented,
-            input_hist,
-            output_hist,
         }
     }
 
@@ -160,6 +134,26 @@ pub struct DelaySummary {
     pub completed_packets: u64,
     /// Number of delivered copies.
     pub delivered_copies: u64,
+}
+
+impl Checkpoint for DelayStats {
+    fn state_kind(&self) -> &'static str {
+        "delay-stats"
+    }
+
+    fn write_state(&self, w: &mut StateWriter) {
+        self.input_oriented.write_state(w);
+        self.output_oriented.write_state(w);
+        self.input_hist.write_state(w);
+        self.output_hist.write_state(w);
+    }
+
+    fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.input_oriented.read_state(r)?;
+        self.output_oriented.read_state(r)?;
+        self.input_hist.read_state(r)?;
+        self.output_hist.read_state(r)
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Fixed-width bucketed histogram over non-negative integer observations.
 
+use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
+
 /// A histogram of `u64` observations with unit-width buckets up to a cap,
 /// plus an overflow bucket.
 ///
@@ -62,39 +64,6 @@ impl Histogram {
         } else {
             self.overflow_count += 1;
             self.overflow_sum += value as u128;
-        }
-    }
-
-    /// The histogram's raw fields
-    /// `(buckets, overflow_count, overflow_sum, total, sum, max)` for
-    /// checkpoint serialisation.
-    pub fn raw(&self) -> (&[u64], u64, u128, u64, u128, u64) {
-        (
-            &self.buckets,
-            self.overflow_count,
-            self.overflow_sum,
-            self.total,
-            self.sum,
-            self.max,
-        )
-    }
-
-    /// Rebuild a histogram from fields captured by [`Histogram::raw`].
-    pub fn from_raw(
-        buckets: Vec<u64>,
-        overflow_count: u64,
-        overflow_sum: u128,
-        total: u64,
-        sum: u128,
-        max: u64,
-    ) -> Histogram {
-        Histogram {
-            buckets,
-            overflow_count,
-            overflow_sum,
-            total,
-            sum,
-            max,
         }
     }
 
@@ -194,6 +163,47 @@ impl Histogram {
     }
 }
 
+impl Checkpoint for Histogram {
+    fn state_kind(&self) -> &'static str {
+        "histogram"
+    }
+
+    fn write_state(&self, w: &mut StateWriter) {
+        w.put_usize(self.buckets.len());
+        for &b in &self.buckets {
+            w.put_u64(b);
+        }
+        w.put_u64(self.overflow_count);
+        w.put_u128(self.overflow_sum);
+        w.put_u64(self.total);
+        w.put_u128(self.sum);
+        w.put_u64(self.max);
+    }
+
+    /// The bucket count is the histogram's cap, which is configuration:
+    /// a snapshot of another cap is malformed.
+    fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let len = r.get_usize()?;
+        if len != self.buckets.len() {
+            return Err(StateError::Malformed {
+                what: format!(
+                    "histogram bucket count {len}, expected {}",
+                    self.buckets.len()
+                ),
+            });
+        }
+        for b in &mut self.buckets {
+            *b = r.get_u64()?;
+        }
+        self.overflow_count = r.get_u64()?;
+        self.overflow_sum = r.get_u128()?;
+        self.total = r.get_u64()?;
+        self.sum = r.get_u128()?;
+        self.max = r.get_u64()?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +266,21 @@ mod tests {
         assert!((h.cdf(4) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(h.cdf(5), 1.0);
         assert_eq!(h.cdf(100), 1.0);
+    }
+
+    #[test]
+    fn state_round_trips_only_into_the_same_cap() {
+        let mut h = Histogram::new(8);
+        for v in [0u64, 3, 3, 50] {
+            h.record(v);
+        }
+        let blob = h.snapshot_state();
+        let mut back = Histogram::new(8);
+        back.restore_state(&blob).expect("same cap");
+        assert_eq!(back.snapshot_state(), blob);
+        assert_eq!((back.mean(), back.overflow_count()), (h.mean(), 1));
+        let err = Histogram::new(4).restore_state(&blob).unwrap_err();
+        assert!(matches!(err, StateError::Malformed { .. }), "{err}");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! quantile is the *lower bound* of the bucket containing the rank, so it
 //! is at most 2× below the true value (and never above it).
 
+use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
+
 /// A fixed 65-bucket base-2 histogram over `u64` samples.
 ///
 /// Bucket `0` holds the value `0`; bucket `i >= 1` holds values in
@@ -81,22 +83,6 @@ impl Log2Histogram {
         self.max = self.max.max(value);
     }
 
-    /// The histogram's raw fields `(buckets, count, sum, max)` for
-    /// checkpoint serialisation.
-    pub fn raw(&self) -> (&[u64; 65], u64, u64, u64) {
-        (&self.buckets, self.count, self.sum, self.max)
-    }
-
-    /// Rebuild a histogram from fields captured by [`Log2Histogram::raw`].
-    pub fn from_raw(buckets: [u64; 65], count: u64, sum: u64, max: u64) -> Log2Histogram {
-        Log2Histogram {
-            buckets,
-            count,
-            sum,
-            max,
-        }
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -164,6 +150,31 @@ impl Log2Histogram {
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| (lower_bound(i), n))
+    }
+}
+
+impl Checkpoint for Log2Histogram {
+    fn state_kind(&self) -> &'static str {
+        "log2-histogram"
+    }
+
+    fn write_state(&self, w: &mut StateWriter) {
+        for &b in &self.buckets {
+            w.put_u64(b);
+        }
+        w.put_u64(self.count);
+        w.put_u64(self.sum);
+        w.put_u64(self.max);
+    }
+
+    fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        for b in &mut self.buckets {
+            *b = r.get_u64()?;
+        }
+        self.count = r.get_u64()?;
+        self.sum = r.get_u64()?;
+        self.max = r.get_u64()?;
+        Ok(())
     }
 }
 

@@ -1,6 +1,7 @@
 //! Queue-occupancy tracking (average and maximum queue size).
 
 use crate::RunningStat;
+use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
 
 /// Tracks per-port queue occupancy over time.
 ///
@@ -53,25 +54,6 @@ impl OccupancyTracker {
         }
     }
 
-    /// The tracker's raw fields `(per_port, overall, max)` for checkpoint
-    /// serialisation.
-    pub fn raw(&self) -> (&[RunningStat], &RunningStat, usize) {
-        (&self.per_port, &self.overall, self.max)
-    }
-
-    /// Rebuild a tracker from fields captured by [`OccupancyTracker::raw`].
-    pub fn from_raw(
-        per_port: Vec<RunningStat>,
-        overall: RunningStat,
-        max: usize,
-    ) -> OccupancyTracker {
-        OccupancyTracker {
-            per_port,
-            overall,
-            max,
-        }
-    }
-
     /// Average queue size over all samples (ports × slots).
     pub fn mean(&self) -> f64 {
         self.overall.mean()
@@ -117,6 +99,41 @@ pub struct OccupancySummary {
     pub slots_sampled: u64,
 }
 
+impl Checkpoint for OccupancyTracker {
+    fn state_kind(&self) -> &'static str {
+        "occupancy-tracker"
+    }
+
+    fn write_state(&self, w: &mut StateWriter) {
+        w.put_usize(self.per_port.len());
+        for s in &self.per_port {
+            s.write_state(w);
+        }
+        self.overall.write_state(w);
+        w.put_usize(self.max);
+    }
+
+    /// The port count is configuration: a snapshot of another port count
+    /// is malformed.
+    fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let ports = r.get_usize()?;
+        if ports != self.per_port.len() {
+            return Err(StateError::Malformed {
+                what: format!(
+                    "occupancy port count {ports}, expected {}",
+                    self.per_port.len()
+                ),
+            });
+        }
+        for s in &mut self.per_port {
+            s.read_state(r)?;
+        }
+        self.overall.read_state(r)?;
+        self.max = r.get_usize()?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +170,20 @@ mod tests {
         assert_eq!(t.samples(), 2);
         assert_eq!(t.port_mean(0), 1.0);
         assert_eq!(t.port_mean(1), 3.0);
+    }
+
+    #[test]
+    fn state_round_trips_only_into_the_same_port_count() {
+        let mut t = OccupancyTracker::new(2);
+        t.sample(&[0, 4]);
+        t.sample(&[3, 1]);
+        let blob = t.snapshot_state();
+        let mut back = OccupancyTracker::new(2);
+        back.restore_state(&blob).expect("same shape");
+        assert_eq!(back.snapshot_state(), blob);
+        assert_eq!((back.mean(), back.max()), (t.mean(), t.max()));
+        let err = OccupancyTracker::new(3).restore_state(&blob).unwrap_err();
+        assert!(matches!(err, StateError::Malformed { .. }), "{err}");
     }
 
     #[test]

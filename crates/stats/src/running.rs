@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
+
 /// Single-pass mean/variance/min/max accumulator.
 ///
 /// Uses Welford's online algorithm, which is numerically stable for the
@@ -57,26 +59,6 @@ impl RunningStat {
     #[inline]
     pub fn push_u64(&mut self, x: u64) {
         self.push(x as f64);
-    }
-
-    /// The accumulator's raw fields `(count, mean, m2, min, max)` for
-    /// checkpoint serialisation. Floats must travel as bit patterns to
-    /// round-trip exactly; [`RunningStat::from_raw`] rebuilds the
-    /// identical accumulator.
-    pub fn raw(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuild an accumulator from fields captured by
-    /// [`RunningStat::raw`].
-    pub fn from_raw(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> RunningStat {
-        RunningStat {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
     }
 
     /// Number of observations.
@@ -155,6 +137,30 @@ impl RunningStat {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Checkpoint for RunningStat {
+    fn state_kind(&self) -> &'static str {
+        "running-stat"
+    }
+
+    /// Floats travel as bit patterns, so a restore is bit-identical.
+    fn write_state(&self, w: &mut StateWriter) {
+        w.put_u64(self.count);
+        w.put_f64(self.mean);
+        w.put_f64(self.m2);
+        w.put_f64(self.min);
+        w.put_f64(self.max);
+    }
+
+    fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.count = r.get_u64()?;
+        self.mean = r.get_f64()?;
+        self.m2 = r.get_f64()?;
+        self.min = r.get_f64()?;
+        self.max = r.get_f64()?;
+        Ok(())
     }
 }
 

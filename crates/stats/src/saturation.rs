@@ -1,5 +1,7 @@
 //! Backlog-growth detection (instability / saturation of an operating point).
 
+use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
+
 /// Verdict of a [`SaturationDetector`] at the end of a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SaturationVerdict {
@@ -81,21 +83,6 @@ impl SaturationDetector {
         self.cap_hit
     }
 
-    /// The detector's mutable state `(samples, cap_hit)` for checkpoint
-    /// serialisation (the cap and trend thresholds are configuration and
-    /// are rebuilt by the caller).
-    pub fn raw(&self) -> (&[usize], bool) {
-        (&self.samples, self.cap_hit)
-    }
-
-    /// Restore mutable state captured by [`SaturationDetector::raw`] into
-    /// a freshly configured detector. The restored vector replaces any
-    /// reservation, so reserve again afterwards.
-    pub fn restore_raw(&mut self, samples: Vec<usize>, cap_hit: bool) {
-        self.samples = samples;
-        self.cap_hit = cap_hit;
-    }
-
     /// Make room for `total` samples in all, so that [`observe`] does not
     /// allocate until that many have been recorded.
     ///
@@ -130,6 +117,39 @@ impl SaturationDetector {
         } else {
             SaturationVerdict::Stable
         }
+    }
+}
+
+impl Checkpoint for SaturationDetector {
+    fn state_kind(&self) -> &'static str {
+        "saturation-detector"
+    }
+
+    // `cap`, `growth_factor` and `absolute_margin` are configuration,
+    // rebuilt by the caller; the samples and the cap latch are state.
+    fn write_state(&self, w: &mut StateWriter) {
+        w.put_usize(self.samples.len());
+        for &s in &self.samples {
+            w.put_usize(s);
+        }
+        w.put_bool(self.cap_hit);
+    }
+
+    /// Refills the sample vector in place, so a reservation made before
+    /// the restore survives it.
+    fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let len = r.get_usize()?;
+        if len > 1 << 32 {
+            return Err(StateError::Malformed {
+                what: format!("saturation sample count {len}"),
+            });
+        }
+        self.samples.clear();
+        for _ in 0..len {
+            self.samples.push(r.get_usize()?);
+        }
+        self.cap_hit = r.get_bool()?;
+        Ok(())
     }
 }
 
@@ -218,24 +238,33 @@ mod tests {
     fn reserved_samples_survive_until_the_reservation_is_used() {
         let mut d = SaturationDetector::new(100);
         d.reserve_samples(64);
-        let ptr = d.raw().0.as_ptr();
+        let ptr = d.samples.as_ptr();
         for _ in 0..64 {
             d.observe(1);
         }
         assert_eq!(
-            d.raw().0.as_ptr(),
+            d.samples.as_ptr(),
             ptr,
             "observe reallocated inside the reservation"
         );
-        // A restore brings its own vector; reserving again covers the rest.
-        d.restore_raw(vec![1; 10], false);
+        // A restore refills the reserved vector in place: the samples and
+        // the latch come back, and the rest of the reservation stays.
+        let mut saved = SaturationDetector::new(100);
+        for b in [5, 7, 300] {
+            saved.observe(b);
+        }
+        let mut d = SaturationDetector::new(100);
         d.reserve_samples(64);
-        let ptr = d.raw().0.as_ptr();
-        for _ in 10..64 {
+        let ptr = d.samples.as_ptr();
+        d.restore_state(&saved.snapshot_state()).expect("restore");
+        assert_eq!(d.samples, [5, 7, 300]);
+        assert!(d.cap_hit());
+        assert_eq!(d.samples.as_ptr(), ptr, "the restore reallocated");
+        for _ in 3..64 {
             d.observe(1);
         }
         assert_eq!(
-            d.raw().0.as_ptr(),
+            d.samples.as_ptr(),
             ptr,
             "observe reallocated after a restore"
         );

@@ -14,7 +14,9 @@ fn measured_rounds(n: usize) -> f64 {
     // Measure mean convergence rounds at 70% Bernoulli multicast load.
     let mut sw = SwitchKind::Fifoms.build(n, 7);
     let mut tr = TrafficKind::bernoulli_at_load(0.7, 4.0 / n as f64, n).build(n, 9);
-    simulate(sw.as_mut(), tr.as_mut(), &RunConfig::quick(20_000)).mean_rounds
+    try_simulate(sw.as_mut(), tr.as_mut(), &RunConfig::quick(20_000))
+        .expect("run")
+        .mean_rounds
 }
 
 fn main() {

@@ -16,32 +16,28 @@
 #   5. a smoke run of the self-profiling harness plus schema validation
 #      of the benchmark artifacts it writes (schemas/ must stay in sync
 #      with the emitters);
-#   6. the bench regression gate: a smoke core bench compared against the
-#      committed BENCH_core.json baseline (wide tolerance — smoke runs
-#      are short and noisy; the gate exists to catch order-of-magnitude
-#      slumps, not jitter);
-#   7. an analyze smoke: a tiny packet-traced sweep piped through
+#   6. an analyze smoke: a tiny packet-traced sweep piped through
 #      `fifoms-repro analyze --json`, validated against
 #      schemas/analysis.schema.json;
-#   8. a chaos smoke campaign: seeded egress-fault scenarios plus the
+#   7. a chaos smoke campaign: seeded egress-fault scenarios plus the
 #      finite-buffer buffer-pressure cells through the invariant checker
 #      — the command exits nonzero on any invariant violation, deadlock,
 #      watchdog timeout, or unreconciled fanout counter, and we also
 #      grep the report for its explicit all-clear line;
-#   9. an overload smoke: the finite-buffer loss-rate sweep with its
+#   8. an overload smoke: the finite-buffer loss-rate sweep with its
 #      fifoms-overload-v1 artifact self-validated against
 #      schemas/overload.schema.json (the command fails if the emitted
 #      JSON violates the schema), plus a sanity grep that the
 #      inadmissible end of the grid actually shed copies;
-#  10. the allocation audit: the CLI rebuilt with the counting global
+#   9. the allocation audit: the CLI rebuilt with the counting global
 #      allocator (`--features alloc-audit`) must report a steady-state
 #      slot loop with zero heap allocations for FIFOMS and iSLIP alike,
 #      at N=8 and at N=64 (the command exits nonzero on any allocating
 #      phase);
-#  11. a perf-diff self-check: the freshly profiled v2 artifact diffed
+#  10. a perf-diff self-check: the freshly profiled v2 artifact diffed
 #      against itself must gate clean (zero slots/sec delta), proving
 #      the attribution path parses its own output;
-#  12. a live-telemetry smoke: a sweep with the windowed time-series,
+#  11. a live-telemetry smoke: a sweep with the windowed time-series,
 #      snapshot and Prometheus outputs attached, the JSONL stream
 #      schema-validated record-by-record and the snapshot rendered by
 #      `fifoms-repro top --once` (the consumer path: the snapshot is
@@ -49,16 +45,16 @@
 #      the final snapshot of the 4-thread sweep must mark every scope
 #      complete: every completing publication reached the file before
 #      the command exited;
-#  13. a kill-and-recover smoke: `serve --die-at-slot` crashes the first
+#  12. a kill-and-recover smoke: `serve --die-at-slot` crashes the first
 #      worker attempt mid-run, the supervisor restarts it from the
 #      newest checkpoint, and the recovered statistics line must equal
 #      an uninterrupted reference run's byte-for-byte (the bit-identical
 #      recovery invariant, end to end through the CLI); the supervisor's
 #      recovery_started/recovery_completed JSONL log is also checked.
-#      (The chaos smoke in stage 8 already runs the checkpoint-corruption
+#      (The chaos smoke in stage 7 already runs the checkpoint-corruption
 #      campaign — torn write, bit flip, truncation, stale tmp — as part
 #      of the same invocation.)
-#  14. a layered-benchmark smoke: layerbench/ compiles against the
+#  13. a layered-benchmark smoke: layerbench/ compiles against the
 #      simulator's public API and pins seed-1 RunResults for all three
 #      workloads, so an API or behaviour break fails here rather than
 #      only in the benchmark pipeline. Each workload runs for one second
@@ -68,12 +64,19 @@
 #      calling SnapshotBus::publish, WalWriter::append and
 #      CheckpointStore::save directly. The build goes to a temporary
 #      target directory so nothing under layerbench/ is written.
-#  15. a journal kill-and-resume smoke: a sweep journals every cell, the
+#  14. a journal kill-and-resume smoke: a sweep journals every cell, the
 #      journal is cut to two thirds of its bytes (a killed process tears
 #      its last record anywhere), and two resumes of the cut file must
 #      each print the uninterrupted run's stdout from line 2 on; the
 #      first resume cuts the torn record off, so the second finds none.
 #      Resuming under another seed must fail with a journal mismatch.
+#  15. the bench regression gate: a smoke core bench compared against the
+#      committed BENCH_core.json baseline (wide tolerance — smoke runs
+#      are short and noisy; the gate exists to catch order-of-magnitude
+#      slumps, not jitter). It runs last because wall-clock noise fails
+#      it often on shared machines, and a failure here should not hide
+#      the results of the deterministic stages before it; it still
+#      fails the script.
 #
 # Run from anywhere inside the repository.
 
@@ -119,12 +122,6 @@ grep -q '"clean": *true' "$tmp/alloc-audit.json"
 cargo run --release --quiet -p fifoms-cli --features alloc-audit -- \
   alloc-audit --n 64 --slots 4000 --json "$tmp/alloc-audit-64.json"
 grep -q '"clean": *true' "$tmp/alloc-audit-64.json"
-
-echo "== bench regression gate (smoke vs committed baseline) =="
-BENCH_SMOKE=1 BENCH_CORE_OUT="$tmp/BENCH_core.json" \
-  cargo bench -p fifoms-bench --bench core
-cargo run --release --quiet -p fifoms-cli -- check-bench \
-  --baseline BENCH_core.json --current "$tmp/BENCH_core.json" --tolerance 0.5
 
 echo "== analyze smoke (packet trace -> forensics report) =="
 cargo run --release --quiet -p fifoms-cli -- sweep --quick --n 8 --points 2 \
@@ -220,5 +217,11 @@ if "${sweep[@]}" --seed 10 --resume "$tmp/cut.journal" \
   exit 1
 fi
 grep -q "checkpoint journal mismatch" "$tmp/journal-mismatch.err"
+
+echo "== bench regression gate (smoke vs committed baseline) =="
+BENCH_SMOKE=1 BENCH_CORE_OUT="$tmp/BENCH_core.json" \
+  cargo bench -p fifoms-bench --bench core
+cargo run --release --quiet -p fifoms-cli -- check-bench \
+  --baseline BENCH_core.json --current "$tmp/BENCH_core.json" --tolerance 0.5
 
 echo "CI checks passed."

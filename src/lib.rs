@@ -19,7 +19,7 @@
 //! let p = BernoulliMulticast::p_for_load(0.8, 16, 0.2);
 //! let mut traffic = BernoulliMulticast::new(16, p, 0.2, 7).unwrap();
 //!
-//! let result = simulate(&mut switch, &mut traffic, &RunConfig::quick(5_000));
+//! let result = try_simulate(&mut switch, &mut traffic, &RunConfig::quick(5_000)).unwrap();
 //! assert!(result.is_stable());
 //! println!(
 //!     "output-oriented delay: {:.2} slots, avg queue: {:.2} packets",
@@ -74,10 +74,9 @@ pub mod prelude {
         RecordingSink, SnapshotBus, Telemetry,
     };
     pub use fifoms_sim::{
-        alloc_audit, profile_run, simulate, try_simulate, try_simulate_observed,
-        AllocAuditReport, CellFailureReason, CellOutcome, CellPolicy, CheckpointJournal,
-        FailedCell, Observer, ProfileReport, RunConfig, RunResult, Sweep, SweepObserver,
-        SwitchKind, TelemetrySpec, TrafficKind,
+        alloc_audit, profile_run, run, try_simulate, AllocAuditReport, CellFailureReason,
+        CellOutcome, CellPolicy, CheckpointJournal, FailedCell, Observer, ProfileReport, RunConfig,
+        RunResult, Sweep, SweepObserver, SwitchKind, TelemetrySpec, TrafficKind,
     };
     pub use fifoms_stats::SaturationVerdict;
     pub use fifoms_types::{InvariantViolation, ObsEvent, SimError};

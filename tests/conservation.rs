@@ -169,7 +169,7 @@ fn checked_switch_finds_zero_violations_in_every_scheduler() {
         for tk in traffics {
             let mut sw = CheckedSwitch::new(sk.build(n, 21));
             let mut tr = tk.build(n, 22);
-            let _ = simulate(&mut sw, tr.as_mut(), &RunConfig::quick(800));
+            try_simulate(&mut sw, tr.as_mut(), &RunConfig::quick(800)).expect("run");
             assert!(
                 sw.violation().is_none(),
                 "{sk:?} × {tk:?}: {:?}",

@@ -9,7 +9,7 @@ const N: usize = 8;
 fn fingerprint(sk: SwitchKind, seed: u64) -> (u64, u64, String) {
     let mut sw = sk.build(N, seed);
     let mut tr = TrafficKind::Bernoulli { p: 0.4, b: 0.3 }.build(N, seed);
-    let r = simulate(sw.as_mut(), tr.as_mut(), &RunConfig::quick(5_000));
+    let r = try_simulate(sw.as_mut(), tr.as_mut(), &RunConfig::quick(5_000)).expect("run");
     (
         r.packets_admitted,
         r.copies_delivered,

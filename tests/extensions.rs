@@ -10,7 +10,7 @@ const N: usize = 16;
 fn run(sk: SwitchKind, tk: TrafficKind, slots: u64, seed: u64) -> RunResult {
     let mut sw = sk.build(N, seed);
     let mut tr = tk.build(N, seed ^ 0xC0FFEE);
-    simulate(sw.as_mut(), tr.as_mut(), &RunConfig::paper(slots))
+    try_simulate(sw.as_mut(), tr.as_mut(), &RunConfig::paper(slots)).expect("run")
 }
 
 /// 2DRR sustains high uniform unicast load (its published full-throughput

@@ -77,8 +77,15 @@ fn jsonl_trace_round_trips() {
             profiler: None,
             telemetry: None,
         };
-        try_simulate_observed(&mut sw, tr.as_mut(), &RunConfig::quick(2_000), &mut obs)
-            .expect("traced run");
+        run(
+            &mut sw,
+            tr.as_mut(),
+            &RunConfig::quick(2_000),
+            &mut obs,
+            None,
+            &mut (),
+        )
+        .expect("traced run");
         sink.flush();
         assert_eq!(sink.write_errors(), 0);
     }
@@ -193,8 +200,7 @@ fn profiler_attachment_is_bit_identical() {
         profiler: Some((&mut prof, 1)),
         telemetry: None,
     };
-    let profiled =
-        try_simulate_observed(&mut sw, tr.as_mut(), &cfg, &mut obs).expect("profiled run");
+    let profiled = run(&mut sw, tr.as_mut(), &cfg, &mut obs, None, &mut ()).expect("profiled run");
 
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
 

@@ -110,7 +110,13 @@ fn disabled_recorder_is_bit_identical() {
         match mode {
             None => {
                 let mut sw = SwitchKind::Fifoms.build(N, 3);
-                (format!("{:?}", simulate(sw.as_mut(), tr.as_mut(), &cfg)), 0)
+                (
+                    format!(
+                        "{:?}",
+                        try_simulate(sw.as_mut(), tr.as_mut(), &cfg).expect("run")
+                    ),
+                    0,
+                )
             }
             Some(mode) => {
                 let mut sw =
@@ -121,7 +127,7 @@ fn disabled_recorder_is_bit_identical() {
                     profiler: None,
                     telemetry: None,
                 };
-                let result = try_simulate_observed(&mut sw, tr.as_mut(), &cfg, &mut obs)
+                let result = fifoms::sim::run(&mut sw, tr.as_mut(), &cfg, &mut obs, None, &mut ())
                     .expect("observed run");
                 let packet_events = sink
                     .events()

@@ -97,9 +97,9 @@ fn fault_injected_fabric_degrades_gracefully() {
             FaultConfig::moderate(7),
         );
         let mut tr = TrafficKind::Bernoulli { p: 0.4, b: 0.3 }.build(n, 32);
-        // simulate() bounds the run, so completing it proves no deadlock;
+        // The run is bounded, so completing it proves no deadlock;
         // per-slot conservation ran inside CheckedSwitch the whole way.
-        let _ = simulate(&mut sw, tr.as_mut(), &RunConfig::quick(2_000));
+        try_simulate(&mut sw, tr.as_mut(), &RunConfig::quick(2_000)).expect("run");
         assert!(
             sw.inner().violation().is_none(),
             "{sk:?} under faults: {:?}",

@@ -33,8 +33,7 @@ fn run_with_series(stride: u64) -> (RunResult, Vec<(String, ObsEvent)>) {
         profiler: None,
         telemetry: Some(spec.channel(&mut telemetry, "cell")),
     };
-    let result =
-        try_simulate_observed(&mut sw, tr.as_mut(), &cfg, &mut obs).expect("telemetry run");
+    let result = run(&mut sw, tr.as_mut(), &cfg, &mut obs, None, &mut ()).expect("telemetry run");
     (result, rec.events())
 }
 
@@ -138,8 +137,7 @@ fn full_telemetry_at_stride_one_is_bit_identical() {
         profiler: None,
         telemetry: Some(spec.channel(&mut telemetry, "cell")),
     };
-    let observed =
-        try_simulate_observed(&mut sw, tr.as_mut(), &cfg, &mut obs).expect("observed run");
+    let observed = run(&mut sw, tr.as_mut(), &cfg, &mut obs, None, &mut ()).expect("observed run");
 
     assert_eq!(format!("{plain:?}"), format!("{observed:?}"));
     assert!(!rec.is_empty(), "stride-1 run recorded no windows");

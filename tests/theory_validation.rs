@@ -12,7 +12,7 @@ const N: usize = 16;
 fn run(sk: SwitchKind, tk: TrafficKind, slots: u64, seed: u64) -> RunResult {
     let mut sw = sk.build(N, seed);
     let mut tr = tk.build(N, seed ^ 0x7777);
-    simulate(sw.as_mut(), tr.as_mut(), &RunConfig::paper(slots))
+    try_simulate(sw.as_mut(), tr.as_mut(), &RunConfig::paper(slots)).expect("run")
 }
 
 /// OQ-FIFO mean delay vs Karol eq. (2), across the load range.
