@@ -1,17 +1,9 @@
 //! The iSLIP scheduling algorithm (McKeown, IEEE/ACM ToN 1999).
 
-use std::collections::VecDeque;
-
 use fifoms_fabric::{Backlog, Switch};
-use fifoms_types::{Departure, Packet, PacketId, PortId, Slot, SlotOutcome};
+use fifoms_types::{Departure, Packet, Slot, SlotOutcome};
 
-use crate::common::PacketLedger;
-
-#[derive(Clone, Copy, Debug)]
-struct UnicastCopy {
-    packet: PacketId,
-    arrival: Slot,
-}
+use crate::common::UnicastVoqs;
 
 /// A VOQ switch scheduled by iterative round-robin SLIP.
 ///
@@ -34,10 +26,9 @@ struct UnicastCopy {
 #[derive(Clone, Debug)]
 pub struct IslipSwitch {
     n: usize,
-    voqs: Vec<Vec<VecDeque<UnicastCopy>>>,
+    voqs: UnicastVoqs,
     grant_ptr: Vec<usize>,
     accept_ptr: Vec<usize>,
-    ledger: PacketLedger,
     max_iterations: usize,
     // Scratch reused across slots so the steady-state matching loop stays
     // allocation-free (verified by the alloc-audit harness). Cleared at
@@ -62,12 +53,9 @@ impl IslipSwitch {
         assert!(max_iterations > 0, "need at least one iteration");
         IslipSwitch {
             n,
-            voqs: (0..n)
-                .map(|_| (0..n).map(|_| VecDeque::new()).collect())
-                .collect(),
+            voqs: UnicastVoqs::new(n),
             grant_ptr: vec![0; n],
             accept_ptr: vec![0; n],
-            ledger: PacketLedger::new(n),
             max_iterations,
             matched_out: vec![None; n],
             input_matched: vec![false; n],
@@ -106,20 +94,7 @@ impl Switch for IslipSwitch {
     }
 
     fn admit(&mut self, packet: Packet) {
-        assert!(packet.input.index() < self.n, "input out of range");
-        assert!(
-            packet.dests.iter().all(|d| d.index() < self.n),
-            "destination out of range"
-        );
-        self.ledger
-            .admit(packet.id, packet.input.index(), packet.fanout() as u32);
-        // Multicast expansion: one independent unicast copy per destination.
-        for dest in &packet.dests {
-            self.voqs[packet.input.index()][dest.index()].push_back(UnicastCopy {
-                packet: packet.id,
-                arrival: packet.arrival,
-            });
-        }
+        self.voqs.admit(packet);
     }
 
     fn run_slot(&mut self, _now: Slot) -> SlotOutcome {
@@ -144,7 +119,7 @@ impl Switch for IslipSwitch {
                 let input_matched = &self.input_matched;
                 let voqs = &self.voqs;
                 let pick = Self::round_robin_pick(n, self.grant_ptr[out], |i| {
-                    !input_matched[i] && !voqs[i][out].is_empty()
+                    !input_matched[i] && !voqs.is_empty(i, out)
                 });
                 if let Some(i) = pick {
                     self.grants[i].push(out);
@@ -185,17 +160,7 @@ impl Switch for IslipSwitch {
         departures.clear();
         for (out, m) in self.matched_out.iter().enumerate() {
             if let Some(i) = m {
-                let copy = self.voqs[*i][out]
-                    .pop_front()
-                    .expect("matched VOQ was empty");
-                let last_copy = self.ledger.deliver(copy.packet);
-                departures.push(Departure {
-                    packet: copy.packet,
-                    arrival: copy.arrival,
-                    input: PortId::new(*i),
-                    output: PortId::new(out),
-                    last_copy,
-                });
+                departures.push(self.voqs.serve(*i, out));
             }
         }
         SlotOutcome {
@@ -206,19 +171,11 @@ impl Switch for IslipSwitch {
     }
 
     fn queue_sizes(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend((0..self.n).map(|i| self.ledger.held_at(i)));
+        self.voqs.queue_sizes(out);
     }
 
     fn backlog(&self) -> Backlog {
-        Backlog {
-            packets: self.ledger.packets(),
-            copies: self
-                .voqs
-                .iter()
-                .flat_map(|qs| qs.iter().map(VecDeque::len))
-                .sum(),
-        }
+        self.voqs.backlog()
     }
 
     fn recycle(&mut self, outcome: SlotOutcome) {
@@ -228,28 +185,19 @@ impl Switch for IslipSwitch {
     }
 
     fn reserve_steady_state(&mut self, copies_per_voq: usize) {
-        let n = self.n;
-        for input in &mut self.voqs {
-            for q in input {
-                q.reserve(copies_per_voq.saturating_sub(q.len()));
-            }
-        }
-        // Worst case one live packet per queued copy at one input's
-        // worth of queues; multicast expansion only lowers the packet
-        // count per copy.
-        self.ledger.reserve(n.saturating_mul(copies_per_voq));
+        self.voqs.reserve(copies_per_voq);
         // An input can be granted by every output in one iteration.
         for g in &mut self.grants {
-            g.reserve(n);
+            g.reserve(self.n);
         }
-        self.spare_departures.reserve(n);
+        self.spare_departures.reserve(self.n);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifoms_types::PortSet;
+    use fifoms_types::{PacketId, PortId, PortSet};
 
     fn pkt(id: u64, arrival: u64, input: u16, dests: &[usize]) -> Packet {
         Packet::new(

@@ -31,6 +31,20 @@
 //! * [`SpeedupOqSwitch`] — output queueing with an explicit, finite
 //!   internal speedup `S`, measuring §I's claim that OQ needs `S = N`.
 //!
+//! The input-queued baselines stand for two queue structures, and each
+//! is written once, in `common.rs`; a switch adds only its arbiter:
+//!
+//! * `UnicastVoqs` — `N×N` VOQs of unicast copies, each multicast packet
+//!   expanded at admission, plus the [`PacketLedger`] that counts
+//!   distinct packets per input. [`IslipSwitch`], [`PimSwitch`] and
+//!   [`TwoDrrSwitch`] match over it.
+//! * `InputFifos` — one FIFO of multicast cells per input, each cell
+//!   tracking the residue of destinations it still owes; only head cells
+//!   send. [`TatraSwitch`], [`WbaSwitch`] and [`McFifoSwitch`] arbitrate
+//!   over it.
+//!
+//! [`OqFifoSwitch`] and [`SpeedupOqSwitch`] queue at the outputs instead.
+//!
 //! All switches implement [`fifoms_fabric::Switch`] and satisfy the same
 //! conservation contract as the FIFOMS switch, so the simulation engine
 //! and metric pipeline treat them uniformly.

@@ -11,27 +11,18 @@
 //! Multicast is expanded to independent unicast copies at admission,
 //! exactly like [`IslipSwitch`](crate::IslipSwitch).
 
-use std::collections::VecDeque;
-
 use fifoms_fabric::{Backlog, Switch};
-use fifoms_types::{Departure, Packet, PacketId, PortId, Slot, SlotOutcome};
+use fifoms_types::{Packet, Slot, SlotOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::PacketLedger;
-
-#[derive(Clone, Copy, Debug)]
-struct UnicastCopy {
-    packet: PacketId,
-    arrival: Slot,
-}
+use crate::common::UnicastVoqs;
 
 /// A VOQ switch scheduled by Parallel Iterative Matching.
 #[derive(Clone, Debug)]
 pub struct PimSwitch {
     n: usize,
-    voqs: Vec<Vec<VecDeque<UnicastCopy>>>,
-    ledger: PacketLedger,
+    voqs: UnicastVoqs,
     max_iterations: usize,
     rng: SmallRng,
 }
@@ -49,10 +40,7 @@ impl PimSwitch {
         assert!(max_iterations > 0, "need at least one iteration");
         PimSwitch {
             n,
-            voqs: (0..n)
-                .map(|_| (0..n).map(|_| VecDeque::new()).collect())
-                .collect(),
-            ledger: PacketLedger::new(n),
+            voqs: UnicastVoqs::new(n),
             max_iterations,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -73,19 +61,7 @@ impl Switch for PimSwitch {
     }
 
     fn admit(&mut self, packet: Packet) {
-        assert!(packet.input.index() < self.n, "input out of range");
-        assert!(
-            packet.dests.iter().all(|d| d.index() < self.n),
-            "destination out of range"
-        );
-        self.ledger
-            .admit(packet.id, packet.input.index(), packet.fanout() as u32);
-        for dest in &packet.dests {
-            self.voqs[packet.input.index()][dest.index()].push_back(UnicastCopy {
-                packet: packet.id,
-                arrival: packet.arrival,
-            });
-        }
+        self.voqs.admit(packet);
     }
 
     fn run_slot(&mut self, _now: Slot) -> SlotOutcome {
@@ -104,7 +80,7 @@ impl Switch for PimSwitch {
                     continue;
                 }
                 let requesters: Vec<usize> = (0..n)
-                    .filter(|&i| !input_matched[i] && !self.voqs[i][out].is_empty())
+                    .filter(|&i| !input_matched[i] && !self.voqs.is_empty(i, out))
                     .collect();
                 if let Some(&i) = requesters
                     .get(self.rng.gen_range(0..requesters.len().max(1)))
@@ -137,17 +113,7 @@ impl Switch for PimSwitch {
         let mut departures = Vec::new();
         for (out, m) in matched_out.iter().enumerate() {
             if let Some(i) = m {
-                let copy = self.voqs[*i][out]
-                    .pop_front()
-                    .expect("matched VOQ was empty");
-                let last_copy = self.ledger.deliver(copy.packet);
-                departures.push(Departure {
-                    packet: copy.packet,
-                    arrival: copy.arrival,
-                    input: PortId::new(*i),
-                    output: PortId::new(out),
-                    last_copy,
-                });
+                departures.push(self.voqs.serve(*i, out));
             }
         }
         SlotOutcome {
@@ -158,26 +124,18 @@ impl Switch for PimSwitch {
     }
 
     fn queue_sizes(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend((0..self.n).map(|i| self.ledger.held_at(i)));
+        self.voqs.queue_sizes(out);
     }
 
     fn backlog(&self) -> Backlog {
-        Backlog {
-            packets: self.ledger.packets(),
-            copies: self
-                .voqs
-                .iter()
-                .flat_map(|qs| qs.iter().map(VecDeque::len))
-                .sum(),
-        }
+        self.voqs.backlog()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifoms_types::PortSet;
+    use fifoms_types::{PacketId, PortId, PortSet};
 
     fn pkt(id: u64, arrival: u64, input: u16, dests: &[usize]) -> Packet {
         Packet::new(

@@ -29,21 +29,15 @@
 use std::collections::VecDeque;
 
 use fifoms_fabric::{Backlog, Switch};
-use fifoms_types::{Departure, Packet, PacketId, PortId, PortSet, Slot, SlotOutcome};
+use fifoms_types::{Packet, PortSet, Slot, SlotOutcome};
 
-#[derive(Clone, Debug)]
-struct FifoCell {
-    packet: PacketId,
-    arrival: Slot,
-    /// Destinations not yet served.
-    residue: PortSet,
-}
+use crate::common::InputFifos;
 
 /// TATRA switch: one FIFO per input, Tetris departure-date packing.
 #[derive(Clone, Debug)]
 pub struct TatraSwitch {
     n: usize,
-    fifos: Vec<VecDeque<FifoCell>>,
+    fifos: InputFifos,
     /// Whether the current HOL cell of each input has been packed into the
     /// columns.
     hol_placed: Vec<bool>,
@@ -58,7 +52,7 @@ impl TatraSwitch {
         assert!(n > 0, "switch needs at least one port");
         TatraSwitch {
             n,
-            fifos: vec![VecDeque::new(); n],
+            fifos: InputFifos::new(n),
             hol_placed: vec![false; n],
             columns: vec![VecDeque::new(); n],
         }
@@ -66,12 +60,12 @@ impl TatraSwitch {
 
     /// Pack every unplaced HOL cell into the columns, oldest arrival first.
     fn place_hol_cells(&mut self) {
-        let mut order: Vec<usize> = (0..self.n)
-            .filter(|&i| !self.hol_placed[i] && !self.fifos[i].is_empty())
+        let mut order: Vec<(Slot, usize, PortSet)> = (0..self.n)
+            .filter(|&i| !self.hol_placed[i])
+            .filter_map(|i| self.fifos.hol(i).map(|c| (c.arrival, i, c.residue.clone())))
             .collect();
-        order.sort_by_key(|&i| (self.fifos[i][0].arrival, i));
-        for i in order {
-            let residue = self.fifos[i][0].residue.clone();
+        order.sort_unstable_by_key(|&(arrival, i, _)| (arrival, i));
+        for (_, i, residue) in order {
             for o in &residue {
                 let col = &mut self.columns[o.index()];
                 // earliest free level in this column
@@ -102,16 +96,7 @@ impl Switch for TatraSwitch {
     }
 
     fn admit(&mut self, packet: Packet) {
-        assert!(packet.input.index() < self.n, "input out of range");
-        assert!(
-            packet.dests.iter().all(|d| d.index() < self.n),
-            "destination out of range"
-        );
-        self.fifos[packet.input.index()].push_back(FifoCell {
-            packet: packet.id,
-            arrival: packet.arrival,
-            residue: packet.dests,
-        });
+        self.fifos.admit(packet);
     }
 
     fn run_slot(&mut self, _now: Slot) -> SlotOutcome {
@@ -128,21 +113,11 @@ impl Switch for TatraSwitch {
             };
             let Some(i) = slot0 else { continue };
             let i = i as usize;
-            let cell = self.fifos[i].front_mut().expect("column points at empty FIFO");
-            let removed = cell.residue.remove(PortId::new(o));
-            debug_assert!(removed, "column/residue disagreement");
-            let last_copy = cell.residue.is_empty();
-            departures.push(Departure {
-                packet: cell.packet,
-                arrival: cell.arrival,
-                input: PortId::new(i),
-                output: PortId::new(o),
-                last_copy,
-            });
-            if last_copy {
-                self.fifos[i].pop_front();
+            let departure = self.fifos.serve(i, o);
+            if departure.last_copy {
                 self.hol_placed[i] = false; // successor packs next slot
             }
+            departures.push(departure);
         }
         SlotOutcome {
             connections: departures.len(),
@@ -152,26 +127,18 @@ impl Switch for TatraSwitch {
     }
 
     fn queue_sizes(&self, out: &mut Vec<usize>) {
-        // Cells (packets) waiting in each input FIFO, HOL residue included.
-        out.clear();
-        out.extend(self.fifos.iter().map(VecDeque::len));
+        self.fifos.queue_sizes(out);
     }
 
     fn backlog(&self) -> Backlog {
-        Backlog {
-            packets: self.fifos.iter().map(VecDeque::len).sum(),
-            copies: self
-                .fifos
-                .iter()
-                .flat_map(|f| f.iter().map(|c| c.residue.len()))
-                .sum(),
-        }
+        self.fifos.backlog()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fifoms_types::{PacketId, PortId};
 
     fn pkt(id: u64, arrival: u64, input: u16, dests: &[usize]) -> Packet {
         Packet::new(

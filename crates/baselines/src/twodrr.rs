@@ -17,25 +17,16 @@
 //! cyclically. Multicast packets are expanded into independent unicast
 //! copies at admission, exactly like the paper treats iSLIP (§V).
 
-use std::collections::VecDeque;
-
 use fifoms_fabric::{Backlog, Switch};
-use fifoms_types::{Departure, Packet, PacketId, PortId, Slot, SlotOutcome};
+use fifoms_types::{Packet, Slot, SlotOutcome};
 
-use crate::common::PacketLedger;
-
-#[derive(Clone, Copy, Debug)]
-struct UnicastCopy {
-    packet: PacketId,
-    arrival: Slot,
-}
+use crate::common::UnicastVoqs;
 
 /// A VOQ switch scheduled by two-dimensional round-robin.
 #[derive(Clone, Debug)]
 pub struct TwoDrrSwitch {
     n: usize,
-    voqs: Vec<Vec<VecDeque<UnicastCopy>>>,
-    ledger: PacketLedger,
+    voqs: UnicastVoqs,
     /// Rotating start diagonal (advanced every slot).
     pattern: usize,
 }
@@ -46,10 +37,7 @@ impl TwoDrrSwitch {
         assert!(n > 0, "switch needs at least one port");
         TwoDrrSwitch {
             n,
-            voqs: (0..n)
-                .map(|_| (0..n).map(|_| VecDeque::new()).collect())
-                .collect(),
-            ledger: PacketLedger::new(n),
+            voqs: UnicastVoqs::new(n),
             pattern: 0,
         }
     }
@@ -70,55 +58,33 @@ impl Switch for TwoDrrSwitch {
     }
 
     fn admit(&mut self, packet: Packet) {
-        assert!(packet.input.index() < self.n, "input out of range");
-        assert!(
-            packet.dests.iter().all(|d| d.index() < self.n),
-            "destination out of range"
-        );
-        self.ledger
-            .admit(packet.id, packet.input.index(), packet.fanout() as u32);
-        for dest in &packet.dests {
-            self.voqs[packet.input.index()][dest.index()].push_back(UnicastCopy {
-                packet: packet.id,
-                arrival: packet.arrival,
-            });
-        }
+        self.voqs.admit(packet);
     }
 
     fn run_slot(&mut self, _now: Slot) -> SlotOutcome {
         let n = self.n;
         let mut input_free = vec![true; n];
         let mut output_free = vec![true; n];
-        let mut matches: Vec<(usize, usize)> = Vec::new();
+        let mut departures = Vec::new();
         // Scan the N generalized diagonals, starting at the rotating
         // pattern index; within a diagonal every position is conflict-free
-        // by construction, so positions are examined in input order.
+        // by construction, so positions are examined in input order. A
+        // matched pair frees neither port again, so its copy can leave at
+        // once.
         for d in 0..n {
             let k = (self.pattern + d) % n;
             #[allow(clippy::needless_range_loop)] // `i` derives `j` too
             for i in 0..n {
                 let j = (i + k) % n;
-                if input_free[i] && output_free[j] && !self.voqs[i][j].is_empty() {
+                if input_free[i] && output_free[j] && !self.voqs.is_empty(i, j) {
                     input_free[i] = false;
                     output_free[j] = false;
-                    matches.push((i, j));
+                    departures.push(self.voqs.serve(i, j));
                 }
             }
         }
         self.pattern = (self.pattern + 1) % n;
 
-        let mut departures = Vec::with_capacity(matches.len());
-        for (i, j) in matches {
-            let copy = self.voqs[i][j].pop_front().expect("matched VOQ empty");
-            let last_copy = self.ledger.deliver(copy.packet);
-            departures.push(Departure {
-                packet: copy.packet,
-                arrival: copy.arrival,
-                input: PortId::new(i),
-                output: PortId::new(j),
-                last_copy,
-            });
-        }
         SlotOutcome {
             connections: departures.len(),
             rounds: 1.min(departures.len() as u32),
@@ -127,26 +93,18 @@ impl Switch for TwoDrrSwitch {
     }
 
     fn queue_sizes(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend((0..self.n).map(|i| self.ledger.held_at(i)));
+        self.voqs.queue_sizes(out);
     }
 
     fn backlog(&self) -> Backlog {
-        Backlog {
-            packets: self.ledger.packets(),
-            copies: self
-                .voqs
-                .iter()
-                .flat_map(|qs| qs.iter().map(VecDeque::len))
-                .sum(),
-        }
+        self.voqs.backlog()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifoms_types::PortSet;
+    use fifoms_types::{PacketId, PortId, PortSet};
 
     fn pkt(id: u64, arrival: u64, input: u16, dests: &[usize]) -> Packet {
         Packet::new(

@@ -10,21 +10,12 @@
 //! highest-weight requester, with ties broken randomly. Fanout splitting
 //! is inherent — whatever subset of the residue wins departs.
 
-use std::collections::VecDeque;
-
 use fifoms_fabric::{Backlog, Switch};
-use fifoms_types::{Departure, Packet, PacketId, PortId, PortSet, Slot, SlotOutcome};
+use fifoms_types::{Packet, PortId, PortSet, Slot, SlotOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-#[derive(Clone, Debug)]
-struct FifoCell {
-    packet: PacketId,
-    arrival: Slot,
-    residue: PortSet,
-    /// Slots this cell has spent at the head of its FIFO.
-    hol_age: u64,
-}
+use crate::common::{FifoCell, InputFifos};
 
 /// Weight parameters for the WBA arbiter.
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +36,11 @@ impl Default for WbaWeights {
 #[derive(Clone, Debug)]
 pub struct WbaSwitch {
     n: usize,
-    fifos: Vec<VecDeque<FifoCell>>,
+    fifos: InputFifos,
+    /// Slots the current HOL cell of each input has spent at the head.
+    /// Only head cells age, so one counter per input suffices; it resets
+    /// when the head leaves with its last copy.
+    hol_age: Vec<u64>,
     weights: WbaWeights,
     rng: SmallRng,
 }
@@ -61,14 +56,16 @@ impl WbaSwitch {
         assert!(n > 0, "switch needs at least one port");
         WbaSwitch {
             n,
-            fifos: vec![VecDeque::new(); n],
+            fifos: InputFifos::new(n),
+            hol_age: vec![0; n],
             weights,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
-    fn weight_of(&self, cell: &FifoCell) -> i64 {
-        self.weights.age * cell.hol_age as i64 - self.weights.fanout * cell.residue.len() as i64
+    fn weight_of(&self, input: usize, cell: &FifoCell) -> i64 {
+        self.weights.age * self.hol_age[input] as i64
+            - self.weights.fanout * cell.residue.len() as i64
     }
 }
 
@@ -82,26 +79,14 @@ impl Switch for WbaSwitch {
     }
 
     fn admit(&mut self, packet: Packet) {
-        assert!(packet.input.index() < self.n, "input out of range");
-        assert!(
-            packet.dests.iter().all(|d| d.index() < self.n),
-            "destination out of range"
-        );
-        self.fifos[packet.input.index()].push_back(FifoCell {
-            packet: packet.id,
-            arrival: packet.arrival,
-            residue: packet.dests,
-            hol_age: 0,
-        });
+        self.fifos.admit(packet);
     }
 
     fn run_slot(&mut self, _now: Slot) -> SlotOutcome {
         // Arbitration: per output, the max-weight HOL requester wins.
         let mut departures = Vec::new();
-        let weights: Vec<Option<i64>> = self
-            .fifos
-            .iter()
-            .map(|f| f.front().map(|c| self.weight_of(c)))
+        let weights: Vec<Option<i64>> = (0..self.n)
+            .map(|i| self.fifos.hol(i).map(|c| self.weight_of(i, c)))
             .collect();
         let mut won: Vec<PortSet> = vec![PortSet::new(); self.n]; // per input
         for o in 0..self.n {
@@ -109,7 +94,9 @@ impl Switch for WbaSwitch {
             let mut best: Option<(i64, Vec<usize>)> = None;
             #[allow(clippy::needless_range_loop)] // `i` indexes fifos and weights
             for i in 0..self.n {
-                let Some(cell) = self.fifos[i].front() else { continue };
+                let Some(cell) = self.fifos.hol(i) else {
+                    continue;
+                };
                 if !cell.residue.contains(out) {
                     continue;
                 }
@@ -132,31 +119,18 @@ impl Switch for WbaSwitch {
         }
         // Transfer the won copies (fanout splitting).
         for (i, outs) in won.iter().enumerate() {
-            if outs.is_empty() {
-                continue;
-            }
-            let cell = self.fifos[i].front_mut().expect("winner has HOL");
             for o in outs {
-                let removed = cell.residue.remove(o);
-                debug_assert!(removed);
-                // The residue shrinks as this slot's copies drain, so only
-                // the final removal can flag `last_copy`.
-                departures.push(Departure {
-                    packet: cell.packet,
-                    arrival: cell.arrival,
-                    input: PortId::new(i),
-                    output: o,
-                    last_copy: cell.residue.is_empty(),
-                });
-            }
-            if cell.residue.is_empty() {
-                self.fifos[i].pop_front();
+                let departure = self.fifos.serve(i, o.index());
+                if departure.last_copy {
+                    self.hol_age[i] = 0;
+                }
+                departures.push(departure);
             }
         }
         // Age surviving HOL cells.
-        for f in &mut self.fifos {
-            if let Some(front) = f.front_mut() {
-                front.hol_age += 1;
+        for (i, age) in self.hol_age.iter_mut().enumerate() {
+            if self.fifos.hol(i).is_some() {
+                *age += 1;
             }
         }
         SlotOutcome {
@@ -167,25 +141,18 @@ impl Switch for WbaSwitch {
     }
 
     fn queue_sizes(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.fifos.iter().map(VecDeque::len));
+        self.fifos.queue_sizes(out);
     }
 
     fn backlog(&self) -> Backlog {
-        Backlog {
-            packets: self.fifos.iter().map(VecDeque::len).sum(),
-            copies: self
-                .fifos
-                .iter()
-                .flat_map(|f| f.iter().map(|c| c.residue.len()))
-                .sum(),
-        }
+        self.fifos.backlog()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fifoms_types::PacketId;
 
     fn pkt(id: u64, arrival: u64, input: u16, dests: &[usize]) -> Packet {
         Packet::new(

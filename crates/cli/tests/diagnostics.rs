@@ -1,8 +1,9 @@
 //! Black-box diagnostics tests for `fifoms-repro`: `analyze` and
 //! `check-bench` must exit non-zero with a one-line `error:` message on
 //! truncated, corrupted or missing inputs — never a panic/backtrace —
-//! and the bench regression gate must fail on a slots/sec regression
-//! and pass within tolerance.
+//! the bench regression gate must fail on a slots/sec regression and
+//! pass within tolerance, and a sweep resume's cut-back warning must say
+//! what the cut bytes were and which cells run again.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -165,4 +166,46 @@ fn usage_errors_are_one_liners() {
             "{argv:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn resume_warns_that_a_zero_filled_tail_reruns_no_cell() {
+    let dir = std::env::temp_dir().join(format!("fifoms-diag-{}-journal", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let journal = dir.join("s.journal");
+    let journal = journal.to_str().expect("temp path is UTF-8");
+    let sweep = |flag: &str| {
+        let mut args = vec!["sweep", "--quick", "--n", "8", "--points", "3"];
+        args.extend(["--seed", "9", "--threads", "1", flag, journal]);
+        let out = repro(&args);
+        assert!(out.status.success(), "sweep {flag} failed: {out:?}");
+        out
+    };
+    let full = sweep("--journal");
+    // A filesystem that zero-fills an unwritten tail leaves whole zero
+    // "records" behind the last real one.
+    let mut bytes = std::fs::read(journal).expect("read journal");
+    bytes.extend([0u8; 8]);
+    std::fs::write(journal, bytes).expect("extend journal");
+    let resumed = sweep("--resume");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.contains("cutting 8 zero byte(s)") && !stderr.contains("torn"),
+        "the warning names zero bytes: {stderr}"
+    );
+    assert!(
+        stderr.contains("all 12 cells are in the journal and none will re-run"),
+        "the warning announces no re-run: {stderr}"
+    );
+    let from_line_2 = |out: &Output| {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .skip(1)
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(from_line_2(&resumed), from_line_2(&full));
 }

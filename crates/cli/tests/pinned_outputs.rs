@@ -1,8 +1,9 @@
 //! Pinned stdout: runs that go through the engine's hooked slot loop —
-//! the chaos campaign, the fairness table and trace replay — must print
-//! exactly the text under `tests/pinned/`. The only part that may vary
-//! is the trace directory `record` and `replay` print, rendered as
-//! `<DIR>` in the pinned text.
+//! the chaos campaign, the fairness table and trace replay — and the
+//! throughput table, the only command that runs PIM, must print exactly
+//! the text under `tests/pinned/`. The only part that may vary is the
+//! trace directory `record` and `replay` print, rendered as `<DIR>` in
+//! the pinned text.
 
 use std::path::Path;
 use std::process::Command;
@@ -49,6 +50,15 @@ fn fairness_table_is_pinned() {
         &stdout_of(&["fairness", "--quick", "--seed", "9"]),
         include_str!("pinned/fairness_quick_seed9.txt"),
         "fairness --quick --seed 9",
+    );
+}
+
+#[test]
+fn throughput_table_is_pinned() {
+    assert_pinned(
+        &stdout_of(&["throughput", "--quick", "--seed", "9"]),
+        include_str!("pinned/throughput_quick_seed9.txt"),
+        "throughput --quick --seed 9",
     );
 }
 

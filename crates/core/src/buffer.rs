@@ -104,16 +104,6 @@ impl BufferConfig {
         };
         per_input.map(|c| (c * n) as u64)
     }
-
-    /// Copies an input may hold before [`backpressure`] should assert
-    /// (`None` when the aggregate axis is unbounded). The threshold leaves
-    /// headroom for one worst-case full-fanout arrival: a source that
-    /// pauses at the signal never has a copy tail-dropped.
-    ///
-    /// [`backpressure`]: fifoms_fabric::Switch::backpressure
-    pub fn backpressure_threshold(&self, n: usize) -> Option<usize> {
-        self.input_cap.map(|cap| cap.saturating_sub(n))
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +115,6 @@ mod tests {
         let cfg = BufferConfig::default();
         assert!(!cfg.is_bounded());
         assert_eq!(cfg.max_copies(16), None);
-        assert_eq!(cfg.backpressure_threshold(16), None);
         assert_eq!(cfg.policy, AdmissionPolicy::DropTail);
     }
 
@@ -148,14 +137,6 @@ mod tests {
         assert_eq!(BufferConfig::bounded(4, 64).max_copies(8), Some(32 * 8));
         assert_eq!(BufferConfig::bounded(4, 0).max_copies(8), Some(32 * 8));
         assert_eq!(BufferConfig::bounded(0, 10).max_copies(8), Some(80));
-    }
-
-    #[test]
-    fn backpressure_leaves_full_fanout_headroom() {
-        let cfg = BufferConfig::bounded(0, 64);
-        assert_eq!(cfg.backpressure_threshold(8), Some(56));
-        // Caps smaller than the fanout saturate at zero: always push back.
-        assert_eq!(BufferConfig::bounded(0, 4).backpressure_threshold(8), Some(0));
     }
 
     #[test]

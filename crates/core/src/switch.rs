@@ -374,15 +374,6 @@ impl Switch for MulticastVoqSwitch {
         out.append(&mut self.admission_drops);
     }
 
-    fn backpressure(&self, input: PortId) -> bool {
-        let Some(thr) = self.buffers.backpressure_threshold(self.ports.len()) else {
-            return false;
-        };
-        self.ports
-            .get(input.index())
-            .is_some_and(|port| port.queued_copies() >= thr)
-    }
-
     fn set_span_recording(&mut self, on: bool) {
         self.span_recording = on;
     }
@@ -866,20 +857,6 @@ mod tests {
         assert_eq!(drops[0].cause, fifoms_types::DropCause::Pushout);
         assert_eq!(drops[0].packet, PacketId(2));
         assert_eq!(drops[0].arrival, Slot(0));
-    }
-
-    #[test]
-    fn backpressure_asserts_near_the_aggregate_cap() {
-        let cfg = crate::BufferConfig::bounded(0, 6);
-        let mut sw = MulticastVoqSwitch::new(4, 1).with_buffers(cfg);
-        assert!(!sw.backpressure(PortId(0)));
-        sw.admit(pkt(1, 0, 0, &[0, 1]));
-        // threshold = cap - n = 2: two queued copies assert the signal.
-        assert!(sw.backpressure(PortId(0)));
-        assert!(!sw.backpressure(PortId(1)), "signal is per input");
-        // Unbounded switches never push back.
-        let sw = MulticastVoqSwitch::new(4, 1);
-        assert!(!sw.backpressure(PortId(0)));
     }
 
     #[test]

@@ -132,12 +132,9 @@ pub trait Switch {
     }
 
     /// Whether the switch asks the traffic source feeding `input` to
-    /// pause: a finite-buffer switch raises this when the input's
-    /// aggregate buffer is too full to guarantee room for a worst-case
-    /// (full-fanout) arrival. Sources that honour the signal hold the
-    /// offered cell and retry in a later slot instead of having it
-    /// tail-dropped. The default is `false` (unbounded buffers never push
-    /// back); wrappers must forward it so the signal crosses fault and
+    /// pause. No switch in this workspace raises it and the engine never
+    /// consults it; the default is `false`. Wrappers forward it so a
+    /// switch that did raise it would be seen through fault and
     /// instrumentation layers.
     fn backpressure(&self, input: PortId) -> bool {
         let _ = input;

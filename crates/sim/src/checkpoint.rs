@@ -268,10 +268,25 @@ impl CheckpointJournal {
             .open(path)
             .map_err(|e| io_err(path, e))?;
         if valid_len < bytes.len() {
+            // A filesystem can zero-fill a tail it never wrote; those bytes
+            // held no record. Either way, the cells that run again are the
+            // ones the whole records do not hold.
+            let tail = &bytes[valid_len..];
+            let kind = if tail.iter().all(|&b| b == 0) {
+                "zero"
+            } else {
+                "torn"
+            };
+            let missing = loaded.iter().filter(|row| row.is_none()).count();
+            let reruns = if missing == 0 {
+                format!("all {cells} cells are in the journal and none will re-run")
+            } else {
+                format!("{missing} of {cells} cells are not in the journal and will run")
+            };
             eprintln!(
-                "warning: {path}: cutting {} torn byte(s) after the last whole \
-                 record; the cells they held will re-run",
-                bytes.len() - valid_len
+                "warning: {path}: cutting {} {kind} byte(s) after the last whole \
+                 record; {reruns}",
+                tail.len()
             );
             file.set_len(valid_len as u64)
                 .map_err(|e| io_err(path, e))?;

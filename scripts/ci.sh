@@ -63,7 +63,11 @@
 #      once traced, because only the traced run costs the end state by
 #      calling SnapshotBus::publish, WalWriter::append and
 #      CheckpointStore::save directly. The build goes to a temporary
-#      target directory so nothing under layerbench/ is written.
+#      target directory, and layerbench/Cargo.lock, which a build
+#      rewrites when the workspace's dependency graph has moved past
+#      it, is put back from a copy on exit, so the checkout stays as it
+#      was. One run also goes through scripts/ledger-layerbench.sh into
+#      a scratch ledger, whose row must hold the same verdict.
 #  14. a journal kill-and-resume smoke: a sweep journals every cell, the
 #      journal is cut to two thirds of its bytes (a killed process tears
 #      its last record anywhere), and two resumes of the cut file must
@@ -84,7 +88,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+cp layerbench/Cargo.lock "$tmp/layerbench-Cargo.lock"
+trap 'cp "$tmp/layerbench-Cargo.lock" layerbench/Cargo.lock; rm -rf "$tmp"' EXIT
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -177,6 +182,10 @@ diff <(grep "admitted" "$tmp/serve-ref.txt") \
 grep -q "checkpoint-corruption campaign" "$tmp/chaos.txt"
 
 echo "== layered benchmark smoke (pinned results + sabotage self-test) =="
+CARGO_TARGET_DIR="$tmp/layerbench" scripts/ledger-layerbench.sh \
+  "$tmp/bench_ledger.jsonl" burst-n16 1 1 > /dev/null
+grep -q '"correct":true' "$tmp/bench_ledger.jsonl"
+grep -q '"failed":0[,}]' "$tmp/bench_ledger.jsonl"
 for w in bernoulli-n64 burst-n16 campaign-n8; do
   CARGO_TARGET_DIR="$tmp/layerbench" python3 layerbench/run.py \
     --workload "$w" --seed 1 --seconds 1 --trace 0 > "$tmp/lb-$w.txt"

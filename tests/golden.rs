@@ -1,11 +1,12 @@
 //! Golden regression tests: exact departure schedules on a handcrafted,
-//! contended 4×4 trace, frozen for the deterministic scheduler
-//! configurations. Any behavioural drift in the scheduler cores —
+//! contended 4×4 trace, frozen for the deterministic and fixed-seed
+//! scheduler configurations. Any behavioural drift in the scheduler cores —
 //! ordering, tie-breaks, splitting, post-processing — shows up here as a
 //! precise diff rather than a statistical blur.
 //!
 //! Notation: `pkt:input->output`, `!` marks the packet's last copy.
 
+use fifoms::baselines::TwoDrrSwitch;
 use fifoms::core::{FifomsConfig, MulticastVoqSwitch, TieBreak};
 use fifoms::prelude::*;
 
@@ -126,6 +127,108 @@ fn golden_tatra() {
         "t8 15:3->0!",
     ];
     assert_eq!(drive(Box::new(TatraSwitch::new(4))), expected);
+}
+
+#[test]
+fn golden_islip() {
+    let expected = [
+        "t0 1:0->0 2:1->2 3:2->3",
+        "t1 1:0->1! 2:1->0! 7:2->2!",
+        "t2 11:3->2 3:2->0! 5:0->3 6:1->1!",
+        "t3 10:2->1 11:3->3! 5:0->2 9:1->0",
+        "t4 4:3->0! 8:0->3! 9:1->2",
+        "t5 10:2->2! 12:0->0! 15:3->1 9:1->3",
+        "t6 13:1->0! 15:3->2 5:0->1!",
+        "t7 14:2->0! 15:3->3 9:1->1!",
+        "t8 15:3->0!",
+    ];
+    assert_eq!(drive(Box::new(IslipSwitch::new(4))), expected);
+}
+
+#[test]
+fn golden_pim() {
+    let expected = [
+        "t0 1:0->1 2:1->2 3:2->3 4:3->0!",
+        "t1 2:1->0! 5:0->1 7:2->2!",
+        "t2 10:2->1 11:3->3 5:0->2 9:1->0",
+        "t3 10:2->2! 15:3->3 1:0->0! 6:1->1!",
+        "t4 15:3->0 5:0->3! 9:1->2",
+        "t5 11:3->2! 12:0->0! 9:1->3",
+        "t6 13:1->0! 15:3->2 8:0->3!",
+        "t7 3:2->0! 9:1->1!",
+        "t8 14:2->0! 15:3->1!",
+    ];
+    assert_eq!(drive(Box::new(PimSwitch::new(4, 3))), expected);
+}
+
+#[test]
+fn golden_twodrr() {
+    let expected = [
+        "t0 1:0->0 2:1->2 3:2->3",
+        "t1 1:0->1! 4:3->0! 7:2->2!",
+        "t2 3:2->0! 5:0->2 9:1->3",
+        "t3 10:2->1 11:3->2 2:1->0! 5:0->3",
+        "t4 10:2->2! 11:3->3! 12:0->0! 6:1->1!",
+        "t5 15:3->0 5:0->1! 9:1->2",
+        "t6 14:2->0! 15:3->1 8:0->3!",
+        "t7 15:3->2 9:1->0",
+        "t8 15:3->3! 9:1->1!",
+        "t9 13:1->0!",
+    ];
+    assert_eq!(drive(Box::new(TwoDrrSwitch::new(4))), expected);
+}
+
+#[test]
+fn golden_wba() {
+    let expected = [
+        "t0 1:0->1 2:1->2 3:2->3 4:3->0!",
+        "t1 2:1->0!",
+        "t2 11:3->2 11:3->3! 1:0->0! 6:1->1!",
+        "t3 3:2->0! 5:0->1 5:0->2 5:0->3!",
+        "t4 7:2->2! 8:0->3! 9:1->0 9:1->1",
+        "t5 10:2->1 12:0->0! 9:1->2 9:1->3!",
+        "t6 10:2->2! 13:1->0! 15:3->1 15:3->3",
+        "t7 15:3->0 15:3->2!",
+        "t8 14:2->0!",
+    ];
+    assert_eq!(drive(Box::new(WbaSwitch::new(4, 3))), expected);
+}
+
+#[test]
+fn golden_mcfifo() {
+    let expected = [
+        "t0 1:0->1 2:1->2 3:2->3 4:3->0!",
+        "t1 2:1->0!",
+        "t2 11:3->2 11:3->3! 1:0->0! 6:1->1!",
+        "t3 3:2->0! 5:0->1 5:0->2 5:0->3!",
+        "t4 7:2->2! 8:0->3! 9:1->0 9:1->1",
+        "t5 10:2->1 10:2->2! 15:3->0 9:1->3",
+        "t6 12:0->0! 15:3->1 15:3->3 9:1->2!",
+        "t7 13:1->0! 15:3->2!",
+        "t8 14:2->0!",
+    ];
+    assert_eq!(drive(Box::new(McFifoSwitch::new(4, 3))), expected);
+}
+
+#[test]
+fn golden_mcfifo_without_splitting() {
+    let expected = [
+        "t0 4:3->0!",
+        "t1 2:1->0 2:1->2!",
+        "t2 11:3->2 11:3->3! 1:0->0 1:0->1!",
+        "t3 3:2->0 3:2->3! 6:1->1!",
+        "t4 5:0->1 5:0->2 5:0->3!",
+        "t5 7:2->2! 8:0->3!",
+        "t6 9:1->0 9:1->1 9:1->2 9:1->3!",
+        "t7 10:2->1 10:2->2! 12:0->0!",
+        "t8 14:2->0!",
+        "t9 15:3->0 15:3->1 15:3->2 15:3->3!",
+        "t10 13:1->0!",
+    ];
+    assert_eq!(
+        drive(Box::new(McFifoSwitch::with_splitting(4, 3, false))),
+        expected
+    );
 }
 
 /// The schedules above differ in instructive ways; pin the headline
