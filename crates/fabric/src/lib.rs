@@ -1,40 +1,37 @@
-//! Multicast crossbar fabric model and the switch abstraction.
+//! The switch abstraction and the wrappers that check, fault and observe
+//! any switch.
 //!
 //! The paper's switch model (§I, §IV-A) is an `N×N` crossbar whose
 //! crosspoints can connect one input to *several* outputs simultaneously —
 //! the "built-in multicast capability" FIFOMS exploits — while each output
-//! may be driven by at most one input per slot.
+//! may be driven by at most one input per slot. A slot's crossbar setting
+//! is its departures: each one names the input that drove its output.
 //!
 //! This crate provides:
 //!
-//! * [`CrossbarSchedule`] — a per-slot connection pattern with the fabric's
-//!   legality rules enforced at construction time;
-//! * [`Crossbar`] — applies schedules and accumulates fabric-level
-//!   accounting (crosspoint settings, multicast usage);
-//! * [`SpeedupFabric`] — a fabric that can run `S` transfer phases per
-//!   slot, used to demonstrate why output-queued switches need internal
-//!   speedup `N` (§I);
 //! * [`Switch`] — the trait every queueing discipline in this workspace
 //!   implements (multicast-VOQ/FIFOMS, iSLIP, TATRA, OQ-FIFO, ...), which
-//!   is what the simulation engine drives.
+//!   is what the simulation engine drives;
+//! * [`CheckedSwitch`] — checks every slot against the crossbar's rule of
+//!   one driver per output, each packet's residual fanout, and copy
+//!   conservation;
+//! * [`FaultyFabric`] — seeded port, crosspoint and in-flight faults;
+//! * [`InstrumentedSwitch`] — per-slot scheduling events and the
+//!   packet-level flight recorder;
+//! * [`FaultScoreboard`] — the per-path quarantine a scheduler learns from
+//!   failed copies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checked;
-mod crossbar;
 mod faults;
 mod instrument;
-mod schedule;
 mod scoreboard;
-mod speedup;
 mod switch;
 
 pub use checked::CheckedSwitch;
-pub use crossbar::{Crossbar, FabricStats};
 pub use faults::{FaultConfig, FaultMode, FaultStats, FaultyFabric};
 pub use instrument::{InstrumentedSwitch, PacketTraceMode};
 pub use scoreboard::FaultScoreboard;
-pub use schedule::{CrossbarSchedule, ScheduleBuilder, ScheduleError};
-pub use speedup::SpeedupFabric;
 pub use switch::{frame_stack, unframe_stack, Backlog, Switch};

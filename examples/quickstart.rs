@@ -39,10 +39,14 @@ fn main() {
         switch.backlog().copies
     );
 
+    // Each departure is one crosspoint set; a slot used the crossbar's
+    // multicast when some input drove more than one output in it.
+    let (mut crosspoints, mut slots, mut multicast_slots) = (0, 0, 0);
     let mut now = Slot(8); // scheduling starts after the last arrival
     while !switch.backlog().is_empty() {
         let outcome = switch.run_slot(now);
         print!("{now}: {} round(s) |", outcome.rounds);
+        let mut drivers = PortSet::new();
         for d in &outcome.departures {
             print!(
                 " {}[{}->{}]{}",
@@ -51,14 +55,18 @@ fn main() {
                 d.output.index(),
                 if d.last_copy { "✓" } else { "" }
             );
+            drivers.insert(d.input);
         }
         println!();
+        crosspoints += outcome.departures.len();
+        slots += 1;
+        if drivers.len() < outcome.departures.len() {
+            multicast_slots += 1;
+        }
         now = now.next();
     }
     println!(
-        "\ndrained at {now}; crossbar set {} crosspoints over {} slots ({} multicast slots)",
-        switch.fabric_stats().crosspoints_set,
-        switch.fabric_stats().slots,
-        switch.fabric_stats().multicast_slots,
+        "\ndrained at {now}; crossbar set {crosspoints} crosspoints over {slots} slots \
+         ({multicast_slots} multicast slots)",
     );
 }

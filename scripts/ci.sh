@@ -15,7 +15,9 @@
 #      (lintcmd self-checks it against schemas/lint.schema.json);
 #   5. a smoke run of the self-profiling harness plus schema validation
 #      of the benchmark artifacts it writes (schemas/ must stay in sync
-#      with the emitters);
+#      with the emitters); the smoke run overwrites BENCH_profile.json,
+#      so the committed 100,000-slot artifact is put back from a copy on
+#      exit, like layerbench/Cargo.lock in stage 13;
 #   6. an analyze smoke: a tiny packet-traced sweep piped through
 #      `fifoms-repro analyze --json`, validated against
 #      schemas/analysis.schema.json;
@@ -89,7 +91,9 @@ cd "$(dirname "$0")/.."
 
 tmp="$(mktemp -d)"
 cp layerbench/Cargo.lock "$tmp/layerbench-Cargo.lock"
-trap 'cp "$tmp/layerbench-Cargo.lock" layerbench/Cargo.lock; rm -rf "$tmp"' EXIT
+cp BENCH_profile.json "$tmp/BENCH_profile.json"
+trap 'cp "$tmp/layerbench-Cargo.lock" layerbench/Cargo.lock;
+  cp "$tmp/BENCH_profile.json" BENCH_profile.json; rm -rf "$tmp"' EXIT
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

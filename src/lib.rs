@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use fifoms_core::{FifomsConfig, FifomsScheduler, MulticastVoqSwitch, TieBreak};
     pub use fifoms_fabric::{
-        Backlog, CheckedSwitch, Crossbar, CrossbarSchedule, FaultConfig, FaultStats,
-        FaultyFabric, InstrumentedSwitch, PacketTraceMode, Switch,
+        Backlog, CheckedSwitch, FaultConfig, FaultStats, FaultyFabric, InstrumentedSwitch,
+        PacketTraceMode, Switch,
     };
     pub use fifoms_obs::{
         analysis::{analyze_trace, ScopeAnalysis, TraceAnalysis},

@@ -130,7 +130,9 @@ fn steady_state_slot_loop_is_allocation_free() {
 
     // The campaign stack: Checked ▸ Faulty (egress, events on) ▸
     // Instrumented ▸ FIFOMS at N=8 with telemetry attached. Reported, not
-    // gated: its event and telemetry paths still allocate.
+    // gated: the wrappers' per-packet tables still allocate, nearly all
+    // at admission (InstrumentedSwitch's B-tree ledger, CheckedSwitch's
+    // map) and a few times in the schedule phase.
     let faults = FaultConfig {
         seed: 3,
         flap_period: 1_000,
