@@ -276,4 +276,31 @@ mod tests {
     fn zero_speedup_rejected() {
         let _ = SpeedupOqSwitch::new(4, 0);
     }
+
+    #[test]
+    #[should_panic(expected = "switch needs at least one port")]
+    fn zero_port_switch_rejected() {
+        let _ = SpeedupOqSwitch::new(0, 2);
+    }
+
+    #[test]
+    fn speedup_caps_the_cells_one_output_receives_per_slot() {
+        // Three inputs send to output 1 in slot 0. Each phase moves at most
+        // one cell into an output, so S phases move min(S, 3) of them; one
+        // departs at line rate, the rest wait in the output queue, and the
+        // cells no phase reached stay staged at their inputs.
+        for speedup in 1..=4usize {
+            let mut sw = SpeedupOqSwitch::new(4, speedup);
+            sw.admit(pkt(1, 0, 0, &[1]));
+            sw.admit(pkt(2, 0, 2, &[1]));
+            sw.admit(pkt(3, 0, 3, &[1]));
+            let out = sw.run_slot(Slot(0));
+            assert_eq!(out.departures.len(), 1, "S = {speedup}");
+            let moved = speedup.min(3);
+            let mut q = Vec::new();
+            sw.queue_sizes(&mut q);
+            assert_eq!(q, vec![0, moved - 1, 0, 0], "S = {speedup}");
+            assert_eq!(sw.backlog().copies, 2, "S = {speedup}");
+        }
+    }
 }
