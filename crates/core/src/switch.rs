@@ -2,9 +2,9 @@
 
 use fifoms_fabric::{Backlog, FaultScoreboard, Switch};
 use fifoms_types::{
-    get_admission_drop, get_obs_event, put_admission_drop, put_obs_event, AdmissionDrop,
-    Checkpoint, Departure, DropCause, ObsEvent, Packet, PortId, RetryDisposition, Slot,
-    SlotOutcome, SpanSample, SpanTimer, StateError, StateReader, StateWriter,
+    get_admission_drop, put_admission_drop, AdmissionDrop, Checkpoint, Departure, DropCause,
+    ObsEvent, Packet, PortId, RetryDisposition, Slot, SlotOutcome, SpanSample, SpanTimer,
+    StateError, StateReader, StateWriter,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -410,15 +410,17 @@ impl Checkpoint for MulticastVoqSwitch {
     }
 
     // Version 1 also carried five crossbar usage counters, which the
-    // switch no longer keeps.
+    // switch no longer keeps; version 2 also carried pending events.
     fn state_version(&self) -> u16 {
-        2
+        3
     }
 
     // Serialised state is exactly the cross-slot mutable fields: per-port
     // slab + VOQs, RNG cursor, scheduler rotation, fault scoreboard, and
-    // the undrained drop/event ledgers. The scratch buffers (`sched_out`,
-    // `spare_departures`, `spans`) hold nothing between slots, and
+    // the undrained admission-drop ledger. `events` is output, not state:
+    // the engine hands it on before every checkpoint, and a restore
+    // clears it. The scratch buffers (`sched_out`, `spare_departures`,
+    // `spans`) hold nothing between slots, and
     // `buffers`/`record_events`/`span_recording` are configuration the
     // caller rebuilds before restoring.
     fn write_state(&self, w: &mut StateWriter) {
@@ -435,10 +437,6 @@ impl Checkpoint for MulticastVoqSwitch {
         w.put_usize(self.admission_drops.len());
         for drop in &self.admission_drops {
             put_admission_drop(w, drop);
-        }
-        w.put_usize(self.events.len());
-        for event in &self.events {
-            put_obs_event(w, event);
         }
     }
 
@@ -467,12 +465,7 @@ impl Checkpoint for MulticastVoqSwitch {
         for _ in 0..drops {
             self.admission_drops.push(get_admission_drop(r)?);
         }
-        let events = r.get_usize()?;
         self.events.clear();
-        self.events.reserve(events);
-        for _ in 0..events {
-            self.events.push(get_obs_event(r)?);
-        }
         Ok(())
     }
 }
@@ -1093,23 +1086,26 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_of_version_1_is_refused() {
+    fn checkpoint_of_version_1_or_2_is_refused() {
         // A version-1 blob carries five more counters after the rotation
-        // cursor; reading it as version 2 would misplace every later
-        // field, so the version check must refuse it before any read.
+        // cursor, and a version-2 blob a pending-event list at the end;
+        // reading either as version 3 would misread it, so the version
+        // check must refuse both before any read.
         let mut sw = MulticastVoqSwitch::new(4, 1);
         sw.admit(pkt(1, 0, 0, &[1, 2]));
         let mut w = StateWriter::new();
         sw.write_state(&mut w);
         let payload = w.into_bytes();
         let mut fresh = MulticastVoqSwitch::new(4, 1);
-        let old = fifoms_types::frame_state("fifoms-core", 1, &payload);
-        assert!(matches!(
-            fresh.restore_state(&old),
-            Err(StateError::VersionUnsupported { got: 1, .. })
-        ));
+        for version in [1, 2] {
+            let old = fifoms_types::frame_state("fifoms-core", version, &payload);
+            assert!(matches!(
+                fresh.restore_state(&old),
+                Err(StateError::VersionUnsupported { got, .. }) if got == version
+            ));
+        }
         // The same payload under the current version restores.
-        let current = fifoms_types::frame_state("fifoms-core", 2, &payload);
+        let current = fifoms_types::frame_state("fifoms-core", 3, &payload);
         fresh.restore_state(&current).unwrap();
         assert_eq!(fresh.backlog(), sw.backlog());
     }
@@ -1232,21 +1228,27 @@ mod tests {
     fn checkpoint_carries_undrained_ledgers() {
         use crate::buffer::BufferConfig;
         // Overload a tiny finite buffer so admission drops accumulate,
-        // then verify the ledger and pending events survive the
-        // round trip without being drained.
-        let mut sw = MulticastVoqSwitch::new(2, 3)
-            .with_buffers(BufferConfig::bounded(2, 0))
-            .with_event_recording();
-        for t in 0..30u64 {
-            sw.admit(pkt(t * 2 + 1, t, (t % 2) as u16, &[0, 1]));
-            sw.admit(pkt(t * 2 + 2, t, ((t + 1) % 2) as u16, &[0, 1]));
-            let out = sw.run_slot(Slot(t));
-            sw.recycle(out);
-        }
+        // then verify the ledger survives the round trip without being
+        // drained. Pending events are output, not state: the restored
+        // twin holds none, and a restore clears those a switch held.
+        let build = || {
+            MulticastVoqSwitch::new(2, 3)
+                .with_buffers(BufferConfig::bounded(2, 0))
+                .with_event_recording()
+        };
+        let overloaded = || {
+            let mut sw = build();
+            for t in 0..30u64 {
+                sw.admit(pkt(t * 2 + 1, t, (t % 2) as u16, &[0, 1]));
+                sw.admit(pkt(t * 2 + 2, t, ((t + 1) % 2) as u16, &[0, 1]));
+                let out = sw.run_slot(Slot(t));
+                sw.recycle(out);
+            }
+            sw
+        };
+        let mut sw = overloaded();
         let blob = sw.snapshot_state();
-        let mut twin = MulticastVoqSwitch::new(2, 3)
-            .with_buffers(BufferConfig::bounded(2, 0))
-            .with_event_recording();
+        let mut twin = build();
         twin.restore_state(&blob).unwrap();
 
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -1255,9 +1257,17 @@ mod tests {
         assert!(!a.is_empty(), "overloaded run should have dropped copies");
         assert_eq!(a, b);
 
+        let mut again = overloaded();
+        again.restore_state(&blob).unwrap();
         let (mut ea, mut eb) = (Vec::new(), Vec::new());
         sw.drain_events(&mut ea);
-        twin.drain_events(&mut eb);
-        assert_eq!(ea, eb);
+        assert!(!ea.is_empty(), "recorded drops should be pending as events");
+        for restored in [&mut twin, &mut again] {
+            restored.drain_events(&mut eb);
+            assert!(
+                eb.is_empty(),
+                "restored switch holds pending events: {eb:?}"
+            );
+        }
     }
 }

@@ -30,9 +30,8 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use fifoms_types::{
-    get_obs_event, put_obs_event, AdmissionDrop, Checkpoint, Departure, DroppedCopy, ObsEvent,
-    Packet, PacketId, PortId, PortSet, RetryDisposition, Slot, SlotOutcome, SpanSample, StateError,
-    StateReader, StateWriter,
+    AdmissionDrop, Checkpoint, Departure, DroppedCopy, ObsEvent, Packet, PacketId, PortId, PortSet,
+    RetryDisposition, Slot, SlotOutcome, SpanSample, StateError, StateReader, StateWriter,
 };
 
 use crate::switch::{frame_stack, unframe_stack, Backlog, Switch};
@@ -366,6 +365,13 @@ impl<S: Switch> Switch for InstrumentedSwitch<S> {
     }
 
     fn save_state(&self) -> Result<Vec<u8>, StateError> {
+        // The ring's packet events are handed on only at the end of the
+        // run, so a checkpoint would have to carry them: refuse instead.
+        if let PacketTraceMode::Ring(_) = self.mode {
+            return Err(StateError::Unsupported {
+                component: "the ring flight recorder".to_string(),
+            });
+        }
         let inner = self.inner.save_state()?;
         Ok(frame_stack(
             "instrumented-switch-stack",
@@ -388,23 +394,23 @@ impl<S: Switch> Checkpoint for InstrumentedSwitch<S> {
 
     // Version 2 added the per-slot scratch fields `matched`, `multicast`,
     // `split_candidates` and `completed`; lint rule R8 fingerprints every
-    // field. They are not serialised, so the payload is version 1's.
+    // field. They are not serialised. Version 3 stopped carrying pending
+    // events and the ring.
     fn state_version(&self) -> u16 {
-        2
+        3
     }
 
-    // Own state only: pending events, the starvation ledger, the set of
-    // packets currently followed through the sampling gate, and the
-    // flight-recorder ring. `mode` is configuration, and the per-slot
+    // Own state only: the starvation ledger and the set of packets
+    // currently followed through the sampling gate. `events` is output,
+    // not state: the engine hands it on before every checkpoint, and a
+    // restore clears it, so a resumed recorder does not emit its
+    // `RecorderMeta` again. `ring` is never saved, because `save_state`
+    // refuses ring mode. `mode` is configuration, and the per-slot
     // scratch (`scratch`, `matched`, `multicast`, `split_candidates`,
     // `completed`) holds nothing between slots. BTreeSet iteration is
     // already ordered, so snapshots of equal states are byte-equal without
     // extra sorting.
     fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.events.len());
-        for e in &self.events {
-            put_obs_event(w, e);
-        }
         w.put_usize(self.ledger.len());
         for (arrival, id) in &self.ledger {
             w.put_slot(*arrival);
@@ -414,19 +420,11 @@ impl<S: Switch> Checkpoint for InstrumentedSwitch<S> {
         for id in &self.sampled {
             w.put_packet_id(*id);
         }
-        w.put_usize(self.ring.len());
-        for e in &self.ring {
-            put_obs_event(w, e);
-        }
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let events = r.get_usize()?;
         self.events.clear();
-        self.events.reserve(events);
-        for _ in 0..events {
-            self.events.push(get_obs_event(r)?);
-        }
+        self.ring.clear();
         let ledger = r.get_usize()?;
         self.ledger.clear();
         for _ in 0..ledger {
@@ -438,12 +436,6 @@ impl<S: Switch> Checkpoint for InstrumentedSwitch<S> {
         self.sampled.clear();
         for _ in 0..sampled {
             self.sampled.insert(r.get_packet_id()?);
-        }
-        let ring = r.get_usize()?;
-        self.ring.clear();
-        self.ring.reserve(ring);
-        for _ in 0..ring {
-            self.ring.push_back(get_obs_event(r)?);
         }
         Ok(())
     }
@@ -948,7 +940,8 @@ mod tests {
     fn own_state_round_trips_mid_packet() {
         // Mid-split: one packet followed and on the starvation ledger, its
         // events undrained. A fresh wrapper restored from the snapshot
-        // holds the same state and the same pending events.
+        // holds the same state, and none of the pending events: they are
+        // output, which the engine hands on before every checkpoint.
         let build = || {
             InstrumentedSwitch::with_packet_trace(SplittingFifo::new(1, 1), PacketTraceMode::All)
         };
@@ -959,25 +952,64 @@ mod tests {
         let mut twin = build();
         Checkpoint::restore_state(&mut twin, &blob).unwrap();
         assert_eq!(Checkpoint::snapshot_state(&twin), blob);
-        assert_eq!(drain(&mut twin), drain(&mut sw));
+        assert!(!drain(&mut sw).is_empty());
+        assert_eq!(drain(&mut twin), Vec::new());
         assert_eq!(twin.oldest_age(Slot(4)), Some(4));
     }
 
     #[test]
-    fn own_state_of_version_1_is_refused() {
-        // Version 2 only added unserialised scratch fields, but a blob
-        // framed as version 1 is still refused before any field is read.
+    fn restore_drops_the_pending_recorder_meta() {
+        // A freshly built recorder holds its `RecorderMeta` until the
+        // first drain. A resumed run emitted it before the checkpoint, so
+        // the restored recorder must not emit it again.
+        let build = || {
+            InstrumentedSwitch::with_packet_trace(SplittingFifo::new(1, 1), PacketTraceMode::All)
+        };
+        assert!(matches!(
+            drain(&mut build()).as_slice(),
+            [ObsEvent::RecorderMeta { .. }]
+        ));
+        let mut resumed = build();
+        Checkpoint::restore_state(&mut resumed, &Checkpoint::snapshot_state(&build())).unwrap();
+        assert_eq!(drain(&mut resumed), Vec::new());
+    }
+
+    #[test]
+    fn ring_mode_refuses_to_checkpoint() {
+        // The ring hands its packet events on only at the end of the run,
+        // so a checkpoint would have to carry them. The wrapper refuses
+        // before asking the inner switch, which in every other mode
+        // answers for itself.
+        let refusal = |mode| {
+            let sw = InstrumentedSwitch::with_packet_trace(SplittingFifo::new(1, 1), mode);
+            match sw.save_state() {
+                Err(StateError::Unsupported { component }) => component,
+                other => panic!("expected Unsupported, got {other:?}"),
+            }
+        };
+        assert_eq!(refusal(PacketTraceMode::All), "splitting-fifo");
+        assert_eq!(
+            refusal(PacketTraceMode::Ring(8)),
+            "the ring flight recorder"
+        );
+    }
+
+    #[test]
+    fn own_state_of_version_2_is_refused() {
+        // A version-2 blob carries pending events before the ledger and
+        // the ring after it; reading it as version 3 would misread it, so
+        // it is refused before any field is read.
         let mut sw = InstrumentedSwitch::new(SplittingFifo::new(1, 1));
         sw.admit(packet(1, Slot(0), &[0, 1]));
         sw.run_slot(Slot(0));
         let blob = Checkpoint::snapshot_state(&sw);
         let (version, payload) = fifoms_types::unframe_state(&blob, "instrumented-switch").unwrap();
-        assert_eq!(version, 2);
-        let old = fifoms_types::frame_state("instrumented-switch", 1, payload);
+        assert_eq!(version, 3);
+        let old = fifoms_types::frame_state("instrumented-switch", 2, payload);
         let mut fresh = InstrumentedSwitch::new(SplittingFifo::new(1, 1));
         assert!(matches!(
             Checkpoint::restore_state(&mut fresh, &old),
-            Err(StateError::VersionUnsupported { got: 1, .. })
+            Err(StateError::VersionUnsupported { got: 2, .. })
         ));
         Checkpoint::restore_state(&mut fresh, &blob).unwrap();
         assert_eq!(Checkpoint::snapshot_state(&fresh), blob);

@@ -369,8 +369,9 @@ impl Checkpoint for EngineState {
 ///
 /// A checkpoint holds the engine's, the switch stack's, the traffic
 /// model's and the telemetry's state. It does not hold the hook's own
-/// fields, just as it holds no in-memory sink's state: a resumed run
-/// hands the hook only the slots from the checkpoint on.
+/// fields, just as it holds no in-memory sink's state, nor any event the
+/// stack has not handed on: a resumed run hands the hook only the slots
+/// from the checkpoint on.
 ///
 /// Fails with a [`SimError`] if `cfg.warmup >= cfg.slots`,
 /// `cfg.sample_every == 0`, the traffic model's port count differs from
@@ -490,8 +491,11 @@ pub fn run<S: Switch + ?Sized, H: SlotHook<S>>(
             // event is emitted: on resume the due checkpoint re-fires,
             // idempotently rewriting the same file and re-emitting the
             // identical event, so the trace stays byte-for-byte equal to
-            // the uninterrupted run's.
+            // the uninterrupted run's. Events the stack still buffers are
+            // output, not state: they are handed on (or, unobserved,
+            // dropped) first, so no checkpoint carries one.
             if rec.checkpoint_due(t) {
+                forward_events(switch, obs, &mut event_buf);
                 if let Some((sink, _)) = obs.sink {
                     sink.flush();
                 }

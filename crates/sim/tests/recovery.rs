@@ -18,13 +18,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use fifoms_core::MulticastVoqSwitch;
+use fifoms_fabric::Switch;
 use fifoms_obs::{CountingWriter, JsonlSink, PhaseProfiler, RecordingSink, Telemetry, WindowStats};
 use fifoms_sim::{
-    run, truncate_file, try_simulate_recoverable, CheckedSwitch, CheckpointConfig, FaultConfig,
-    FaultyFabric, InstrumentedSwitch, Observer, RecoveryRuntime, RunConfig, RunResult, SlotHook,
-    SwitchKind, TelemetryChannel, TrafficKind,
+    run, truncate_file, try_simulate_recoverable, CheckedSwitch, CheckpointConfig, CheckpointStore,
+    FaultConfig, FaultyFabric, InstrumentedSwitch, Observer, RecoveryRuntime, RunConfig, RunResult,
+    SlotHook, SwitchKind, TelemetryChannel, TrafficKind,
 };
-use fifoms_types::{frame_state, unframe_state, InvariantViolation, SimError};
+use fifoms_types::{frame_state, unframe_state, InvariantViolation, SimError, StateReader};
 
 /// xorshift64* — deterministic, dependency-free pseudo-randomness.
 struct Rng(u64);
@@ -393,7 +394,7 @@ fn killed_campaign_stack_with_observer_recovers_bit_identically() {
 /// so a resumed run takes a fresh one.
 struct Drain(u64);
 
-impl<S: fifoms_fabric::Switch + ?Sized> SlotHook<S> for Drain {
+impl<S: Switch + ?Sized> SlotHook<S> for Drain {
     fn drain_window(&self) -> Option<u64> {
         Some(self.0)
     }
@@ -506,4 +507,94 @@ fn every_attachment_subset_gives_the_reference_result() {
         assert_eq!(&got, want, "cell {cell} diverged");
     }
     let _ = fs::remove_dir_all(&base);
+}
+
+/// The switch-stack blob inside the newest valid checkpoint in `dir`:
+/// the run state is `slot | trace offset | engine | switch | ...`.
+fn newest_switch_blob(dir: &Path) -> Vec<u8> {
+    let store = CheckpointStore::open(dir).expect("open checkpoint store");
+    let (_, run_state) = store
+        .load_candidates()
+        .into_iter()
+        .next()
+        .expect("a checkpoint");
+    let (_, payload) = unframe_state(&run_state, "fifoms-run").expect("run state envelope");
+    let mut r = StateReader::new(payload);
+    r.get_u64().expect("slot");
+    r.get_u64().expect("trace offset");
+    r.get_bytes().expect("engine state");
+    r.get_bytes().expect("switch state").to_vec()
+}
+
+/// A recoverable run with no sink and no telemetry hands the stack's
+/// pending events on to nowhere before each checkpoint, so no checkpoint
+/// carries one. The matrix's campaign stack buffers events every slot,
+/// and a declared capacity below its backlog makes `CheckedSwitch` hold
+/// an unreported violation from slot 3 on. The kill falls on the first
+/// checkpoint slot, right after the checkpoint is written, so the
+/// violation is still unreported when the engine reaches it.
+#[test]
+fn unobserved_checkpoints_hold_no_pending_events() {
+    const N: usize = 8;
+    const SEED: u64 = 41;
+    const KILL: u64 = MATRIX_EVERY;
+    let stack = || {
+        let core = MulticastVoqSwitch::new(N, SEED).with_quarantine_slots(200);
+        CheckedSwitch::new(
+            FaultyFabric::new(InstrumentedSwitch::new(core), FaultConfig::egress(SEED))
+                .with_event_recording(),
+        )
+        .with_capacity(16)
+    };
+    let cfg = RunConfig {
+        slots: MATRIX_SLOTS,
+        warmup: MATRIX_SLOTS / 4,
+        backlog_cap: 100_000,
+        sample_every: 50,
+    };
+    let dir = test_dir("unobserved");
+    let _ = fs::remove_dir_all(&dir);
+    let ck = CheckpointConfig {
+        dir: dir.clone(),
+        every: MATRIX_EVERY,
+    };
+    let mut rec = RecoveryRuntime::fresh(&ck).expect("fresh state dir");
+    rec.kill_at(KILL);
+    let mut switch = stack();
+    let mut traffic = TrafficKind::bernoulli_at_load(1.05, 0.25, N).build(N, SEED ^ 0x5a5a);
+    match try_simulate_recoverable(
+        &mut switch,
+        traffic.as_mut(),
+        &cfg,
+        &mut Observer::none(),
+        &mut rec,
+    ) {
+        Err(SimError::Killed { slot }) => assert_eq!(slot, KILL),
+        other => panic!("expected the kill, got {other:?}"),
+    }
+    assert!(
+        switch.violation().is_some(),
+        "the capacity was never exceeded"
+    );
+
+    let mut pending = Vec::new();
+    switch.drain_events(&mut pending);
+    assert!(
+        pending.is_empty(),
+        "the stack still held {} event(s) at the checkpoint",
+        pending.len()
+    );
+    let mut restored = stack();
+    restored
+        .load_state(&newest_switch_blob(&dir))
+        .expect("restore the newest checkpoint");
+    assert_eq!(restored.violation(), switch.violation());
+    restored.drain_events(&mut pending);
+    assert!(
+        pending.is_empty(),
+        "the checkpoint restored {} pending event(s), the first {:?}",
+        pending.len(),
+        pending.first()
+    );
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -32,9 +32,9 @@ mod portset;
 mod timing;
 
 pub use checkpoint::{
-    crc32, frame_state, get_admission_drop, get_dropped_copy, get_obs_event, get_violation,
-    put_admission_drop, put_dropped_copy, put_obs_event, put_violation, unframe_state, Checkpoint,
-    StateError, StateReader, StateWriter, STATE_FORMAT_VERSION, STATE_MAGIC,
+    crc32, frame_state, get_admission_drop, get_dropped_copy, get_violation, put_admission_drop,
+    put_dropped_copy, put_violation, unframe_state, Checkpoint, StateError, StateReader,
+    StateWriter, STATE_FORMAT_VERSION, STATE_MAGIC,
 };
 pub use error::{check_ports, check_probability, InvariantViolation, SimError, TypeError};
 pub use fault::{AdmissionDrop, DropCause, DroppedCopy, RetryDisposition};

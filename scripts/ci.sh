@@ -84,6 +84,13 @@
 #      the results of the deterministic stages before it; it still
 #      fails the script.
 #
+# No stage may leave the checkout changed. After stage 14 the script
+# puts back the committed files that stages 5 and 13 are known to
+# rewrite (BENCH_profile.json and layerbench/Cargo.lock, which the exit
+# trap also restores), then fails, printing the difference, if
+# `git status --porcelain` no longer matches its output at the start.
+# Outside a git work tree the check is skipped.
+#
 # Run from anywhere inside the repository.
 
 set -euo pipefail
@@ -92,8 +99,15 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 cp layerbench/Cargo.lock "$tmp/layerbench-Cargo.lock"
 cp BENCH_profile.json "$tmp/BENCH_profile.json"
-trap 'cp "$tmp/layerbench-Cargo.lock" layerbench/Cargo.lock;
-  cp "$tmp/BENCH_profile.json" BENCH_profile.json; rm -rf "$tmp"' EXIT
+# Put back the committed files that stages are known to rewrite.
+restore_checkout() {
+  cp "$tmp/layerbench-Cargo.lock" layerbench/Cargo.lock
+  cp "$tmp/BENCH_profile.json" BENCH_profile.json
+}
+trap 'restore_checkout; rm -rf "$tmp"' EXIT
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  git status --porcelain > "$tmp/status-start.txt"
+fi
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -230,6 +244,16 @@ if "${sweep[@]}" --seed 10 --resume "$tmp/cut.journal" \
   exit 1
 fi
 grep -q "checkpoint journal mismatch" "$tmp/journal-mismatch.err"
+
+echo "== checkout unchanged (git status as at the start) =="
+restore_checkout
+if [ -f "$tmp/status-start.txt" ]; then
+  git status --porcelain > "$tmp/status-end.txt"
+  if ! diff "$tmp/status-start.txt" "$tmp/status-end.txt"; then
+    echo "a stage left the checkout changed (git status --porcelain, start vs now)" >&2
+    exit 1
+  fi
+fi
 
 echo "== bench regression gate (smoke vs committed baseline) =="
 BENCH_SMOKE=1 BENCH_CORE_OUT="$tmp/BENCH_core.json" \
