@@ -166,10 +166,17 @@ impl WalWriter {
     /// Open the WAL at `path`, truncating any previous contents (callers
     /// read the old log *before* opening the writer).
     pub fn open(path: &Path) -> Result<WalWriter, SimError> {
+        WalWriter::open_with(path, true)
+    }
+
+    /// Open the WAL at `path` for writing, creating it if missing; with
+    /// `truncate` false its previous contents stay until the first
+    /// [`WalWriter::reset`].
+    fn open_with(path: &Path, truncate: bool) -> Result<WalWriter, SimError> {
         let file = fs::OpenOptions::new()
             .write(true)
             .create(true)
-            .truncate(true)
+            .truncate(truncate)
             .open(path)
             .map_err(|e| io_recovery(path, "open WAL", e))?;
         Ok(WalWriter {
@@ -434,10 +441,11 @@ impl RecoveryRuntime {
                 decoded = Some(state);
             }
         }
-        // Opening the writer truncates the WAL: replayed slots are
-        // re-appended as the resumed loop re-executes them, so the WAL
-        // converges to the uninterrupted run's contents.
-        let wal = WalWriter::open(&wal_path)?;
+        // Opening the writer truncates the WAL, unless a restore is
+        // pending: `apply_resume` truncates it once the restore succeeds,
+        // so an attempt whose restore is refused leaves the replay gap for
+        // a build that can resume the directory.
+        let wal = WalWriter::open_with(&wal_path, decoded.is_none())?;
         Ok(RecoveryRuntime {
             store,
             wal,
@@ -497,6 +505,9 @@ impl RecoveryRuntime {
     /// Restore `engine`, the switch stack, the traffic model and
     /// (optionally) telemetry from the pending resume state, returning
     /// the slot the run restarts at: 0 when there is nothing to resume.
+    /// A resume truncates the WAL only once every restore succeeded:
+    /// replayed slots are re-appended as the resumed loop re-executes
+    /// them, so the WAL converges to the uninterrupted run's contents.
     pub(crate) fn apply_resume<S: Switch + ?Sized>(
         &mut self,
         engine: &mut EngineState,
@@ -527,6 +538,7 @@ impl RecoveryRuntime {
             }
         }
         self.trace_base = rs.trace_offset;
+        self.wal.reset()?;
         Ok(rs.slot)
     }
 
@@ -911,6 +923,77 @@ mod tests {
         assert_eq!(info.seq, 3);
         assert_eq!(info.wal_records, 50, "slots 600..650 were logged");
         assert_eq!(info.rejected, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resumed_run_logs_only_its_own_slots_under_another_interval() {
+        let cfg = RunConfig::quick(1_000);
+        let dir = test_dir("other-interval");
+        let trace = dir.join("trace.jsonl");
+        let err = run_to_completion(&dir, &trace, &cfg, 200, Some(650), false)
+            .expect_err("kill must abort");
+        assert_eq!(err, SimError::Killed { slot: 650 });
+        // Resumed every 250 slots, slot 600 is no checkpoint slot, so no
+        // re-fired checkpoint resets the log; the restore itself must.
+        let err = run_to_completion(&dir, &trace, &cfg, 250, Some(620), true)
+            .expect_err("second kill must abort");
+        assert_eq!(err, SimError::Killed { slot: 620 });
+        // Slots 620..650 of the first attempt are not left behind the
+        // resumed attempt's records.
+        let info = RecoveryRuntime::open(&CheckpointConfig {
+            dir: dir.clone(),
+            every: 250,
+        })
+        .expect("open")
+        .resume_info()
+        .expect("resuming");
+        assert_eq!((info.slot, info.wal_records), (600, 20));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_restore_leaves_the_logged_gap_in_place() {
+        let cfg = RunConfig::quick(1_000);
+        let dir = test_dir("refused");
+        let trace = dir.join("trace.jsonl");
+        let err = run_to_completion(&dir, &trace, &cfg, 200, Some(650), false)
+            .expect_err("kill must abort");
+        assert_eq!(err, SimError::Killed { slot: 650 });
+        let wal_path = dir.join("arrivals.wal");
+        let logged = fs::read(&wal_path).expect("wal");
+        assert!(!logged.is_empty());
+        let ck = CheckpointConfig {
+            dir: dir.clone(),
+            every: 200,
+        };
+        // Opening a runtime only to read what a resume would find changes
+        // nothing on disk.
+        drop(RecoveryRuntime::open(&ck).expect("open"));
+        assert_eq!(fs::read(&wal_path).expect("wal"), logged);
+
+        // A stack that refuses the checkpoint fails the attempt and leaves
+        // the log for one that can resume it.
+        let mut rec = RecoveryRuntime::open(&ck).expect("open");
+        let mut other = fifoms_baselines::OqFifoSwitch::new(8);
+        let mut traffic = BernoulliMulticast::new(8, 0.3, 0.25, 9).expect("traffic");
+        let mut obs = Observer {
+            sink: None,
+            profiler: None,
+            telemetry: None,
+        };
+        let err = try_simulate_recoverable(&mut other, &mut traffic, &cfg, &mut obs, &mut rec)
+            .expect_err("kind mismatch");
+        assert!(
+            matches!(err, SimError::State(StateError::KindMismatch { .. })),
+            "{err}"
+        );
+        assert_eq!(fs::read(&wal_path).expect("wal"), logged);
+        let info = RecoveryRuntime::open(&ck)
+            .expect("open")
+            .resume_info()
+            .expect("resuming");
+        assert_eq!((info.slot, info.wal_records), (600, 50));
         let _ = fs::remove_dir_all(&dir);
     }
 
