@@ -267,3 +267,49 @@ fn print_comparison(cmp: &ScopeComparison) {
         print!("{}", t.render());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn trace(labels: &[&str]) -> TraceAnalysis {
+        TraceAnalysis {
+            scopes: labels
+                .iter()
+                .map(|&scope| ScopeAnalysis {
+                    scope: scope.to_string(),
+                    ..ScopeAnalysis::default()
+                })
+                .collect(),
+        }
+    }
+
+    fn pairs(cmp: &[ScopeComparison]) -> Vec<(&str, &str)> {
+        cmp.iter()
+            .map(|c| (c.left.as_str(), c.right.as_str()))
+            .collect()
+    }
+
+    #[test]
+    fn scopes_pair_by_load_suffix_each_right_scope_once() {
+        let left = trace(&["FIFOMS@0.60", "FIFOMS@0.90", "FIFOMS@0.95"]);
+        let right = trace(&["iSLIP@0.90", "iSLIP@0.60", "iSLIP@0.60"]);
+        // 0.95 has no partner and is left out; the second 0.60 on the
+        // right is never paired twice.
+        assert_eq!(
+            pairs(&pair_scopes(&left, &right)),
+            [("FIFOMS@0.60", "iSLIP@0.60"), ("FIFOMS@0.90", "iSLIP@0.90")]
+        );
+    }
+
+    #[test]
+    fn scopes_without_a_common_load_pair_in_order() {
+        let left = trace(&["a", "b", "c"]);
+        let right = trace(&["x@0.5", "y"]);
+        assert_eq!(
+            pairs(&pair_scopes(&left, &right)),
+            [("a", "x@0.5"), ("b", "y")]
+        );
+        assert!(pair_scopes(&trace(&[]), &right).is_empty());
+    }
+}

@@ -227,6 +227,23 @@ mod tests {
     }
 
     #[test]
+    fn data_cell_holds_one_payload_and_a_counter_wide_enough_for_n() {
+        // A fanoutCounter counts down from at most N, so it needs
+        // floor(log2 N) + 1 bits: 5 for N = 16 (a value of 16 fits), 4 for 15.
+        let m = QueueMemoryModel::typical(16, 1024);
+        assert_eq!(m.data_memory_bits_per_input(), 1024 * (64 * 8 + 5));
+        let m = QueueMemoryModel::typical(15, 1024);
+        assert_eq!(m.data_memory_bits_per_input(), 1024 * (64 * 8 + 4));
+        let m = QueueMemoryModel::typical(1, 2);
+        assert_eq!(m.data_memory_bits_per_input(), 2 * (64 * 8 + 1));
+        let m = QueueMemoryModel::typical(16, 1024);
+        assert_eq!(
+            m.total_bits_per_input(),
+            m.address_memory_bits_per_input() + m.data_memory_bits_per_input()
+        );
+    }
+
+    #[test]
     fn multicast_voq_memory_beats_copy_based() {
         // Storing one payload + N address cells must be much smaller than
         // N payload copies for 64-byte cells.

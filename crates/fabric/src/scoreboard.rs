@@ -221,4 +221,57 @@ mod tests {
         // First mark expired at slot 10, second at 15.
         assert_eq!(sb.quarantined_paths(Slot(12)), vec![(PortId(1), PortId(1))]);
     }
+
+    #[test]
+    fn quarantined_paths_into_appends_without_clearing() {
+        let mut sb = FaultScoreboard::new(2, 10);
+        assert_eq!(sb.quarantine_slots(), 10);
+        sb.record_failure(PortId(1), PortId(0), Slot(3));
+        let mut out = vec![(PortId(9), PortId(9))];
+        sb.quarantined_paths_into(Slot(4), &mut out);
+        assert_eq!(out, vec![(PortId(9), PortId(9)), (PortId(1), PortId(0))]);
+        sb.quarantined_paths_into(Slot(13), &mut out);
+        assert_eq!(out.len(), 2, "an expired mark appends nothing");
+    }
+
+    #[test]
+    fn state_keeps_expired_marks_and_refuses_inconsistent_snapshots() {
+        let mut sb = FaultScoreboard::new(2, 10);
+        sb.record_failure(PortId(0), PortId(1), Slot(0));
+        sb.record_failure(PortId(1), PortId(1), Slot(20));
+        let mut w = StateWriter::new();
+        sb.write_state(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut back = FaultScoreboard::new(2, 10);
+        back.read_state(&mut StateReader::new(&bytes))
+            .expect("restore");
+        // The slot-0 mark has expired at slot 25 but still counts: the
+        // scheduler keeps consulting the scoreboard, as before the save.
+        assert!(!back.is_empty());
+        assert_eq!(
+            back.quarantined_paths(Slot(25)),
+            vec![(PortId(1), PortId(1))]
+        );
+        back.record_success(PortId(1), PortId(1));
+        assert!(!back.is_empty(), "the expired mark survived the restore");
+        back.record_success(PortId(0), PortId(1));
+        assert!(back.is_empty());
+
+        let err = FaultScoreboard::new(3, 10)
+            .read_state(&mut StateReader::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, StateError::Malformed { .. }), "{err}");
+        // The trailing mark count disagrees with the marks listed.
+        let mut tampered = bytes.clone();
+        let n = tampered.len();
+        tampered[n - 8..].copy_from_slice(&3u64.to_le_bytes());
+        let err = FaultScoreboard::new(2, 10)
+            .read_state(&mut StateReader::new(&tampered))
+            .unwrap_err();
+        assert!(
+            matches!(&err, StateError::Malformed { what } if what.contains("mark count 3")),
+            "{err}"
+        );
+    }
 }

@@ -1017,6 +1017,38 @@ mod tests {
     }
 
     #[test]
+    fn fanout_table_separates_split_lifetimes_by_class() {
+        let a = analyze_trace(&sample_trace()).unwrap();
+        let rows = a.scopes[0].fanout_table();
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        // Fanout 1: p2 and p3, each served whole in its arrival slot.
+        let unicast = &rows[0];
+        assert_eq!(
+            (unicast.fanout, unicast.packets, unicast.split_packets),
+            (1, 2, 0)
+        );
+        assert_eq!((unicast.mean_lifetime, unicast.max_lifetime), (0.0, 0));
+        assert_eq!(unicast.mean_copy_delay, 0.0);
+        // Fanout 2: p1, first copy in slot 0 and its residue in slot 1.
+        let multicast = &rows[1];
+        assert_eq!(
+            (multicast.fanout, multicast.packets, multicast.split_packets),
+            (2, 1, 1)
+        );
+        assert_eq!((multicast.mean_lifetime, multicast.max_lifetime), (1.0, 1));
+        assert_eq!(multicast.mean_copy_delay, 0.5);
+        assert!(ScopeAnalysis::default().fanout_table().is_empty());
+    }
+
+    #[test]
+    fn mean_delays_average_each_component_over_copies() {
+        let a = analyze_trace(&sample_trace()).unwrap();
+        // Four copies; only p1's residue waited, one slot, as split residue.
+        assert_eq!(a.scopes[0].mean_delays(), (0.25, 0.0, 0.0, 0.25));
+        assert_eq!(ScopeAnalysis::default().mean_delays(), (0.0, 0.0, 0.0, 0.0));
+    }
+
+    #[test]
     fn delay_percentiles_come_from_the_histogram() {
         let a = analyze_trace(&sample_trace()).unwrap();
         let s = &a.scopes[0];

@@ -1151,6 +1151,67 @@ mod tests {
     }
 
     #[test]
+    fn atomic_writes_replace_the_whole_file_and_leave_no_temp() {
+        let dir = std::env::temp_dir().join(format!("fifoms-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.json");
+        write_atomically(&path, b"a longer first version").unwrap();
+        write_atomically(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert!(!dir.join("state.json.tmp").exists());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        // No directory to write into: the error surfaces and nothing
+        // appears at the target.
+        let missing = dir.join("missing").join("state.json");
+        let err = write_atomically(&missing, b"x").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        assert!(!missing.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn meta_and_window_events_mirror_the_accumulator() {
+        let t = Telemetry::new(4, 0).with_ring(0);
+        assert_eq!(
+            t.meta_event(),
+            ObsEvent::WindowMeta {
+                stride: 1,
+                ring: 1,
+                ports: 4
+            }
+        );
+        let mut t = Telemetry::new(4, 2).with_ring(3);
+        t.observe_event(&drop_event("pushout", 3));
+        t.record_slot(5, 4, 2, 100, 250);
+        t.record_slot(1, 0, 0, 30, 40);
+        let closed = t.close_window(17);
+        let window = t.windows().last().expect("one closed window");
+        assert_eq!(window.to_event(), closed);
+        assert_eq!(
+            closed,
+            ObsEvent::WindowSummary {
+                window: 0,
+                start_slot: 0,
+                slots: 2,
+                admitted_packets: 6,
+                delivered_copies: 4,
+                completed_packets: 2,
+                drop_tail_full: 0,
+                drop_pushout: 3,
+                drop_fair_shed: 0,
+                copy_kills: 0,
+                copy_recoveries: 0,
+                voq_high_water: 0,
+                backlog_copies: 17,
+                quarantined_paths: 0,
+                sched_ns: 130,
+                wall_ns: 290,
+            }
+        );
+    }
+
+    #[test]
     fn ring_is_bounded_and_keeps_the_newest_windows() {
         let mut t = Telemetry::new(2, 1).with_ring(3);
         for i in 0..10u64 {

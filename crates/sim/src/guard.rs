@@ -130,4 +130,41 @@ mod tests {
         assert!(began.elapsed() < Duration::from_millis(2_000));
         assert_eq!(guarded(Some(Duration::from_secs(60)), || Ok(7u32)), Ok(7));
     }
+
+    #[test]
+    fn errors_and_non_string_panics_keep_their_own_reasons() {
+        let killed = SimError::Killed { slot: 5 };
+        let expected = Err(CellFailureReason::Error(killed.to_string()));
+        for limit in [None, Some(Duration::from_secs(60))] {
+            let err = killed.clone();
+            assert_eq!(
+                guarded::<()>(limit, move || Err(err)),
+                expected,
+                "{limit:?}"
+            );
+        }
+        let odd = guarded::<()>(None, || std::panic::panic_any(42u32));
+        assert_eq!(
+            odd,
+            Err(CellFailureReason::Panic(
+                "panic with a non-string payload".to_string()
+            ))
+        );
+        let shown: Vec<String> = [
+            CellFailureReason::Panic("boom".into()),
+            CellFailureReason::Timeout { millis: 40 },
+            CellFailureReason::Error("bad input".into()),
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        assert_eq!(
+            shown,
+            [
+                "panicked: boom",
+                "timed out after 40 ms",
+                "error: bad input"
+            ]
+        );
+    }
 }

@@ -121,7 +121,7 @@ pub fn loss_sweep_observed(
     assert!(cfg.voq_cap > 0 && cfg.input_cap > 0, "caps must be finite");
     let mut out = Vec::new();
     for (i, &load) in cfg.loads.iter().enumerate() {
-        let max_load = SWEEP_B * cfg.n as f64;
+        let max_load = cfg.max_load();
         assert!(
             load > 0.0 && load <= max_load,
             "load {load} outside (0, {max_load}]"
@@ -241,5 +241,46 @@ mod tests {
             cool_drop.loss_rate < hot_drop.loss_rate,
             "loss must rise across the knee: {cool_drop:?} vs {hot_drop:?}"
         );
+    }
+
+    #[test]
+    fn max_load_offers_a_packet_on_every_input_in_every_slot() {
+        let cfg = LossSweepConfig {
+            n: 8,
+            slots: 200,
+            seed: 3,
+            loads: vec![2.0],
+            voq_cap: 4,
+            input_cap: 16,
+        };
+        assert_eq!(cfg.max_load(), 2.0);
+        let points = loss_sweep(&cfg);
+        assert_eq!(points.len(), 4);
+        for pt in &points {
+            // Every cell sees the same arrivals, and the checker's law
+            // holds copy for copy.
+            assert_eq!(pt.admitted, points[0].admitted, "{pt:?}");
+            assert_eq!(
+                pt.admitted,
+                pt.delivered + pt.admission_dropped + pt.backlog,
+                "{pt:?}"
+            );
+        }
+        // Twice what the outputs can carry, one copy per output per
+        // slot: the baseline queues the excess, and a finite buffer sheds
+        // close to half.
+        let baseline = &points[0];
+        assert_eq!(baseline.admission_dropped, 0);
+        assert!(baseline.delivered <= 200 * 8, "{baseline:?}");
+        assert!(baseline.backlog > baseline.delivered, "{baseline:?}");
+        assert!(points[1..].iter().all(|p| p.loss_rate > 0.4), "{points:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "load 2.5 outside (0, 2]")]
+    fn a_load_past_max_load_is_refused() {
+        let mut cfg = LossSweepConfig::quick(8, 100, 1, 2);
+        cfg.loads = vec![2.5];
+        loss_sweep(&cfg);
     }
 }

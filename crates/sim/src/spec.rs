@@ -419,4 +419,117 @@ mod tests {
         let err = tk.try_build(4, 0).map(|_| ()).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "got {err:?}");
     }
+
+    /// DESIGN §15: the FIFOMS core, OQ-FIFO and mcFIFO checkpoint; every
+    /// other discipline refuses through the `Switch` defaults, by name, so
+    /// a recoverable run over it fails at its first checkpoint.
+    #[test]
+    fn only_fifoms_oq_fifo_and_mcfifo_checkpoint() {
+        use fifoms_types::StateError;
+        let saving = [
+            SwitchKind::Fifoms,
+            SwitchKind::FifomsSingleRequest,
+            SwitchKind::FifomsMaxRounds(2),
+            SwitchKind::FifomsTieBreak(TieBreak::Rotating),
+            SwitchKind::FifomsFanoutCap(2),
+            SwitchKind::OqFifo,
+            SwitchKind::McFifo { splitting: true },
+            SwitchKind::McFifo { splitting: false },
+        ];
+        for k in saving {
+            let mut sw = k.build(4, 7);
+            let dests: fifoms_types::PortSet = [1usize, 3].into_iter().collect();
+            sw.admit(Packet::new(
+                fifoms_types::PacketId(0),
+                Slot(0),
+                PortId(2),
+                dests,
+            ));
+            let blob = sw
+                .save_state()
+                .unwrap_or_else(|e| panic!("{}: {e}", k.label()));
+            let mut twin = k.build(4, 7);
+            twin.load_state(&blob)
+                .unwrap_or_else(|e| panic!("{}: {e}", k.label()));
+            assert_eq!(twin.backlog(), sw.backlog(), "{}", k.label());
+            assert_eq!(twin.save_state().as_ref(), Ok(&blob), "{}", k.label());
+        }
+        let refusing = [
+            SwitchKind::Islip(None),
+            SwitchKind::Islip(Some(1)),
+            SwitchKind::Pim(None),
+            SwitchKind::TwoDrr,
+            SwitchKind::Tatra,
+            SwitchKind::Wba,
+            SwitchKind::OqSpeedup(2),
+        ];
+        for k in refusing {
+            let mut sw = k.build(4, 7);
+            let refusal = Err(StateError::Unsupported {
+                component: sw.name(),
+            });
+            assert_eq!(sw.save_state(), refusal, "{}", k.label());
+            assert_eq!(
+                sw.load_state(&[]).map(|()| Vec::new()),
+                refusal,
+                "{}",
+                k.label()
+            );
+        }
+    }
+
+    /// Among the traffic models only Bernoulli checkpoints; the rest
+    /// refuse by name rather than replay different arrivals after a
+    /// recovery.
+    #[test]
+    fn only_bernoulli_traffic_checkpoints() {
+        use fifoms_types::StateError;
+        let mut arrivals = Vec::new();
+        let mut bernoulli = TrafficKind::Bernoulli { p: 0.5, b: 0.5 }.build(4, 3);
+        bernoulli.next_slot(Slot(0), &mut arrivals);
+        let blob = bernoulli.save_state().expect("Bernoulli saves");
+        let mut twin = TrafficKind::Bernoulli { p: 0.5, b: 0.5 }.build(4, 3);
+        twin.load_state(&blob).expect("Bernoulli restores");
+        let mut expected = Vec::new();
+        bernoulli.next_slot(Slot(1), &mut expected);
+        twin.next_slot(Slot(1), &mut arrivals);
+        assert_eq!(arrivals, expected, "the restored stream resumes in step");
+
+        let refusing = [
+            TrafficKind::Uniform {
+                p: 0.2,
+                max_fanout: 2,
+            },
+            TrafficKind::Burst {
+                e_off: 8.0,
+                e_on: 4.0,
+                b: 0.5,
+            },
+            TrafficKind::Mixed {
+                p: 0.4,
+                frac_multicast: 0.3,
+                b: 0.25,
+            },
+            TrafficKind::UniformUnicast { p: 0.5 },
+            TrafficKind::Diagonal { p: 0.5 },
+            TrafficKind::Hotspot {
+                p: 0.5,
+                hot: 0,
+                h: 0.3,
+            },
+        ];
+        for k in refusing {
+            let mut tr = k.build(4, 3);
+            let refusal = Err(StateError::Unsupported {
+                component: tr.name(),
+            });
+            assert_eq!(tr.save_state(), refusal, "{}", tr.name());
+            assert_eq!(
+                tr.load_state(&[]).map(|()| Vec::new()),
+                refusal,
+                "{}",
+                tr.name()
+            );
+        }
+    }
 }

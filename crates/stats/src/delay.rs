@@ -230,4 +230,24 @@ mod tests {
         assert_eq!(a.mean_output_oriented(), 4.0);
         assert_eq!(a.mean_input_oriented(), 3.0);
     }
+
+    #[test]
+    fn restore_carries_both_delay_views() {
+        let mut live = DelayStats::new();
+        for (delay, last) in [(1, false), (4, true), (2, true), (9000, true)] {
+            live.record_copy(delay, last);
+        }
+        let mut back = DelayStats::new();
+        back.restore_state(&live.snapshot_state()).expect("restore");
+        assert_eq!(back.summary(), live.summary());
+        assert_eq!(back.input_quantile(0.5), live.input_quantile(0.5));
+        live.record_copy(3, true);
+        back.record_copy(3, true);
+        assert_eq!(back.snapshot_state(), live.snapshot_state());
+        // A bare running-stat blob is another component's state.
+        let err = back
+            .restore_state(&RunningStat::new().snapshot_state())
+            .unwrap_err();
+        assert!(matches!(err, StateError::KindMismatch { .. }), "{err}");
+    }
 }

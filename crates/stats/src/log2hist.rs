@@ -195,6 +195,33 @@ mod tests {
     }
 
     #[test]
+    fn restore_resumes_every_bucket() {
+        let mut live = Log2Histogram::new();
+        for v in [0u64, 1, 5, 5, 900, u64::MAX] {
+            live.record(v);
+        }
+        let blob = live.snapshot_state();
+        let mut back = Log2Histogram::new();
+        back.record(3);
+        back.restore_state(&blob).expect("restore");
+        assert_eq!(
+            back.buckets().collect::<Vec<_>>(),
+            live.buckets().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (back.count(), back.sum(), back.max()),
+            (6, u64::MAX, u64::MAX)
+        );
+        live.record(64);
+        back.record(64);
+        assert_eq!(back.snapshot_state(), live.snapshot_state());
+        // One bucket short is a truncated blob, not a shorter histogram.
+        let short = fifoms_types::frame_state("log2-histogram", 1, &[0u8; 8 * 3]);
+        let err = Log2Histogram::new().restore_state(&short).unwrap_err();
+        assert!(matches!(err, StateError::UnexpectedEof { .. }), "{err}");
+    }
+
+    #[test]
     fn bucket_boundaries() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);

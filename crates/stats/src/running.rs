@@ -194,6 +194,28 @@ mod tests {
     }
 
     #[test]
+    fn restore_resumes_bit_identically() {
+        let mut live = RunningStat::new();
+        for x in [0.1, -2.5, 1e-9, 3.0e7] {
+            live.push(x);
+        }
+        let mut back = RunningStat::new();
+        back.restore_state(&live.snapshot_state()).expect("restore");
+        // Both accumulators take the same tail; every moment stays
+        // bit-equal, which a decimal or rounded encoding would not give.
+        for x in [7.25, -0.3] {
+            live.push(x);
+            back.push(x);
+        }
+        assert_eq!(back.count(), live.count());
+        assert_eq!(back.mean().to_bits(), live.mean().to_bits());
+        assert_eq!(back.std_dev().to_bits(), live.std_dev().to_bits());
+        assert_eq!(back.min(), Some(-2.5));
+        assert_eq!(back.max(), Some(3.0e7));
+        assert_eq!(back.snapshot_state(), live.snapshot_state());
+    }
+
+    #[test]
     fn single_observation() {
         let mut s = RunningStat::new();
         s.push(3.5);
