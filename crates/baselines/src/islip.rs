@@ -1,7 +1,7 @@
 //! The iSLIP scheduling algorithm (McKeown, IEEE/ACM ToN 1999).
 
 use fifoms_fabric::{Backlog, Switch};
-use fifoms_types::{Departure, Packet, Slot, SlotOutcome};
+use fifoms_types::{Departure, Packet, Slot, SlotOutcome, WorkCounts};
 
 use crate::common::UnicastVoqs;
 
@@ -37,6 +37,8 @@ pub struct IslipSwitch {
     input_matched: Vec<bool>,
     grants: Vec<Vec<usize>>, // input -> granting outputs this iteration
     spare_departures: Vec<Departure>,
+    // The last slot's matching work; counted only with debug assertions.
+    work: WorkCounts,
 }
 
 impl IslipSwitch {
@@ -61,6 +63,7 @@ impl IslipSwitch {
             input_matched: vec![false; n],
             grants: (0..n).map(|_| Vec::new()).collect(),
             spare_departures: Vec::new(),
+            work: WorkCounts::default(),
         }
     }
 
@@ -72,6 +75,11 @@ impl IslipSwitch {
     /// The accept pointer of `input`.
     pub fn accept_pointer(&self, input: usize) -> usize {
         self.accept_ptr[input]
+    }
+
+    /// The last slot's matching work, or `None` without debug assertions.
+    pub fn last_work(&self) -> Option<WorkCounts> {
+        cfg!(debug_assertions).then_some(self.work)
     }
 
     /// First port at or after `ptr` (cyclically) satisfying `pred`.
@@ -103,6 +111,9 @@ impl Switch for IslipSwitch {
         self.matched_out.resize(n, None);
         self.input_matched.clear();
         self.input_matched.resize(n, false);
+        if cfg!(debug_assertions) {
+            self.work = WorkCounts::default();
+        }
         let mut rounds = 0u32;
 
         for iter in 0..self.max_iterations {
@@ -116,12 +127,19 @@ impl Switch for IslipSwitch {
                 if self.matched_out[out].is_some() {
                     continue;
                 }
-                let input_matched = &self.input_matched;
-                let voqs = &self.voqs;
+                if cfg!(debug_assertions) {
+                    self.work.visited += 1;
+                }
                 let pick = Self::round_robin_pick(n, self.grant_ptr[out], |i| {
-                    !input_matched[i] && !voqs.is_empty(i, out)
+                    if cfg!(debug_assertions) {
+                        self.work.examined += 1;
+                    }
+                    !self.input_matched[i] && !self.voqs.is_empty(i, out)
                 });
                 if let Some(i) = pick {
+                    if cfg!(debug_assertions) {
+                        self.work.requests += 1;
+                    }
                     self.grants[i].push(out);
                     any_grant = true;
                 }
@@ -136,6 +154,9 @@ impl Switch for IslipSwitch {
                     continue;
                 }
                 let accepted = Self::round_robin_pick(n, self.accept_ptr[i], |o| {
+                    if cfg!(debug_assertions) {
+                        self.work.examined += 1;
+                    }
                     granting.contains(&o)
                 })
                 .expect("nonempty grant list");

@@ -2,14 +2,10 @@
 //! FIFOMS vs iSLIP at three operating points and two switch sizes,
 //! emitted machine-readable.
 //!
-//! This target writes `BENCH_core.json` (schema
-//! `schemas/bench_core.schema.json`) so CI and future perf PRs can diff
-//! slots/sec numerically. Each row carries its own `n` (the scaling
-//! axis: N = 16 and N = 64); the doc-level `n` stays at 16 for v1
-//! consumers. Environment knobs:
-//!
-//! * `BENCH_SMOKE=1` — one short sample per cell (CI smoke mode);
-//! * `BENCH_CORE_OUT=<path>` — output path (default `BENCH_core.json`).
+//! This target writes `BENCH_core.json` at the workspace root (schema
+//! `schemas/bench_core.schema.json`) so perf PRs can diff slots/sec
+//! numerically. Each row carries its own `n` (the scaling axis: N = 16
+//! and N = 64); the doc-level `n` stays at 16 for v1 consumers.
 //!
 //! Run with `cargo bench -p fifoms-bench --bench core`.
 
@@ -22,6 +18,9 @@ use fifoms_sim::{try_simulate, RunConfig, RunResult, SwitchKind, TrafficKind};
 const SIZES: [usize; 2] = [16, 64];
 const B: f64 = 0.2;
 const LOADS: [f64; 3] = [0.3, 0.6, 0.9];
+/// Slots per N = 16 cell, and timed runs per cell.
+const SLOTS: u64 = 100_000;
+const SAMPLES: usize = 3;
 
 fn one_sample(sk: SwitchKind, n: usize, load: f64, slots: u64) -> (RunResult, u64) {
     let mut sw = sk.build(n, 1);
@@ -34,27 +33,23 @@ fn one_sample(sk: SwitchKind, n: usize, load: f64, slots: u64) -> (RunResult, u6
 }
 
 fn main() {
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    // Cargo runs bench binaries with the package dir as CWD; default the
+    // Cargo runs bench binaries with the package dir as CWD; write the
     // artifact to the workspace root so `check-bench` finds it there.
-    let out = std::env::var("BENCH_CORE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json").to_string()
-    });
-    let (slots, samples) = if smoke { (5_000, 1) } else { (100_000, 3) };
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");
 
     let mut rows = Vec::new();
     for n in SIZES {
-        // Same slot budget per cell at both sizes: the N = 64 rows cost
-        // more wall time, which is exactly the scaling being measured.
-        let slots = if n > 16 && !smoke { slots / 4 } else { slots };
+        // The N = 64 rows run a quarter of the slots, which bounds the
+        // bench's wall time; slots/sec stays comparable across sizes.
+        let slots = if n > 16 { SLOTS / 4 } else { SLOTS };
         for sk in [SwitchKind::Fifoms, SwitchKind::Islip(None)] {
             for load in LOADS {
-                // Median elapsed time over `samples` identical runs (the
+                // Median elapsed time over `SAMPLES` identical runs (the
                 // runs are deterministic, so only the timing varies).
                 let mut timed: Vec<(RunResult, u64)> =
-                    (0..samples).map(|_| one_sample(sk, n, load, slots)).collect();
+                    (0..SAMPLES).map(|_| one_sample(sk, n, load, slots)).collect();
                 timed.sort_by_key(|(_, ns)| *ns);
-                let (result, elapsed_ns) = timed.swap_remove(samples / 2);
+                let (result, elapsed_ns) = timed.swap_remove(SAMPLES / 2);
                 let slots_per_sec = result.slots_run as f64 / (elapsed_ns as f64 / 1e9);
                 println!(
                     "core/{:<6} n {n:>2} load {load:.1}: {slots_per_sec:>10.0} slots/s \
@@ -80,9 +75,8 @@ fn main() {
     let mut doc = Json::object();
     doc.set("schema", "fifoms-bench-core-v1");
     doc.set("n", SIZES[0]);
-    doc.set("slots", slots);
-    doc.set("smoke", smoke);
+    doc.set("slots", SLOTS);
     doc.set("rows", Json::Arr(rows));
-    std::fs::write(&out, format!("{doc}\n")).expect("write core bench output");
+    std::fs::write(out, format!("{doc}\n")).expect("write core bench output");
     println!("wrote {out}");
 }

@@ -51,11 +51,13 @@ pub struct Options {
     pub compare: Option<String>,
     /// Write the analysis report as JSON to this path (`analyze --json`).
     pub json_out: Option<String>,
-    /// Baseline bench artifact for the `check-bench` regression gate.
+    /// Baseline artifact: `perf-diff`'s first profile, or the lint
+    /// findings allowlist (`check-bench` refuses it).
     pub baseline: Option<String>,
-    /// Current bench artifact compared against `--baseline`.
+    /// Current artifact: `perf-diff`'s second profile, or the core-bench
+    /// artifact `check-bench` validates.
     pub current: Option<String>,
-    /// Allowed fractional slots/sec regression before the gate fails.
+    /// Allowed fractional slots/sec regression before `perf-diff` fails.
     pub tolerance: f64,
     /// Run the shortened CI chaos campaign (`chaos --smoke`).
     pub smoke: bool,

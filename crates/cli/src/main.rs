@@ -29,11 +29,9 @@
 //!   --sample-every <K>   time every K-th slot      [default: 16]
 //!
 //! check-bench validates BENCH_profile.json / BENCH_core.json against the
-//! schemas under schemas/. With --baseline PATH it instead gates
-//! slots/sec against that baseline artifact:
-//!   --baseline <PATH>    reference BENCH_core.json to compare against
-//!   --current <PATH>     artifact under test       [default: BENCH_core.json]
-//!   --tolerance <F>      allowed fractional drop   [default: 0.15]
+//! schemas under schemas/ (it compares no slots/sec; --baseline is an
+//! error):
+//!   --current <PATH>     core-bench artifact       [default: BENCH_core.json]
 //!
 //! perf-diff <baseline.json> <current.json> attributes a slots/sec delta
 //! between two `fifoms-repro profile` artifacts to named spans

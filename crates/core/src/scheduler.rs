@@ -1,7 +1,7 @@
 //! The iterative FIFOMS matching algorithm (paper §III, Table 2).
 
 use fifoms_fabric::FaultScoreboard;
-use fifoms_types::{PortId, PortSet, Slot, SpanSample, SpanTimer};
+use fifoms_types::{PortId, PortSet, Slot, SpanSample, SpanTimer, WorkCounts};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -99,6 +99,10 @@ pub struct ScheduleOutcome {
     /// exactly the outputs in `grants[i]` (§IV-A's native multicast). They
     /// are pairwise disjoint, so no output has two drivers.
     pub grants: Vec<PortSet>,
+    /// The call's matching work (zero without debug assertions): free
+    /// inputs scanned per round, the last round included; candidate HOL
+    /// cells read, quarantined ones included; requests sent.
+    pub work: WorkCounts,
 }
 
 impl ScheduleOutcome {
@@ -108,6 +112,7 @@ impl ScheduleOutcome {
         ScheduleOutcome {
             rounds: 0,
             grants: vec![PortSet::with_capacity(n); n],
+            work: WorkCounts::default(),
         }
     }
 }
@@ -277,6 +282,9 @@ impl FifomsScheduler {
         let (mut voq_scan_ns, mut request_ns, mut grant_ns) = (0u64, 0u64, 0u64);
 
         out.rounds = 0;
+        if cfg!(debug_assertions) {
+            out.work = WorkCounts::default();
+        }
         for g in &mut out.grants {
             g.clear();
         }
@@ -317,6 +325,9 @@ impl FifomsScheduler {
             // and may not request again (§III-B.1 case 2).
             let lap = timing.then(SpanTimer::start);
             for i in free_inputs.iter() {
+                if cfg!(debug_assertions) {
+                    out.work.visited += 1;
+                }
                 let (Some(port), Some(req), Some(min)) = (
                     ports.get(i.index()),
                     request.get_mut(i.index()),
@@ -331,6 +342,9 @@ impl FifomsScheduler {
                 req.clear();
                 let mut smallest: Option<Slot> = None;
                 for o in candidates.iter() {
+                    if cfg!(debug_assertions) {
+                        out.work.examined += 1;
+                    }
                     if avoid.is_some_and(|(sb, now)| sb.is_quarantined(i, o, now)) {
                         continue;
                     }
@@ -370,6 +384,9 @@ impl FifomsScheduler {
                     continue;
                 };
                 for o in req.iter() {
+                    if cfg!(debug_assertions) {
+                        out.work.requests += 1;
+                    }
                     if let Some(inputs) = requesters.get_mut(o.index()) {
                         inputs.insert(i);
                     }
@@ -494,7 +511,7 @@ impl FifomsScheduler {
 #[cfg(test)]
 pub(crate) mod oracle {
     use fifoms_fabric::FaultScoreboard;
-    use fifoms_types::{PortId, PortSet, Slot};
+    use fifoms_types::{PortId, PortSet, Slot, WorkCounts};
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -576,7 +593,11 @@ pub(crate) mod oracle {
             }
             rounds += 1;
         }
-        ScheduleOutcome { rounds, grants }
+        ScheduleOutcome {
+            rounds,
+            grants,
+            work: WorkCounts::default(),
+        }
     }
 }
 

@@ -4,7 +4,7 @@ use fifoms_fabric::{Backlog, FaultScoreboard, Switch};
 use fifoms_types::{
     get_admission_drop, put_admission_drop, AdmissionDrop, Checkpoint, Departure, DropCause,
     ObsEvent, Packet, PortId, RetryDisposition, Slot, SlotOutcome, SpanSample, SpanTimer,
-    StateError, StateReader, StateWriter,
+    StateError, StateReader, StateWriter, WorkCounts,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,7 +43,7 @@ pub struct MulticastVoqSwitch {
     events: Vec<ObsEvent>,
     record_events: bool,
     // Reused buffers keeping the steady-state slot loop allocation-free:
-    // the scheduling outcome (rounds + grants) and the departures vector
+    // the scheduling outcome (rounds, grants, work) and the departures vector
     // handed back through `Switch::recycle`.
     sched_out: ScheduleOutcome,
     spare_departures: Vec<Departure>,
@@ -121,6 +121,12 @@ impl MulticastVoqSwitch {
         &self.ports[input]
     }
 
+    /// The last slot's matching work ([`ScheduleOutcome::work`]), or
+    /// `None` without debug assertions.
+    pub fn last_work(&self) -> Option<WorkCounts> {
+        cfg!(debug_assertions).then_some(self.sched_out.work)
+    }
+
     /// Verify the cross-cell invariants of every port (tests/debugging).
     pub fn check_invariants(&self) {
         for port in &self.ports {
@@ -196,7 +202,7 @@ impl Switch for MulticastVoqSwitch {
                         input,
                         packet: packet.id,
                         copies: outcome.shed.len() as u32,
-                        cause: cause.as_str().into(),
+                        cause,
                     });
                 }
             }
@@ -215,7 +221,7 @@ impl Switch for MulticastVoqSwitch {
                         input,
                         packet: victim.packet,
                         copies: 1,
-                        cause: DropCause::Pushout.as_str().into(),
+                        cause: DropCause::Pushout,
                     });
                 }
             }
@@ -808,7 +814,7 @@ mod tests {
             } => {
                 assert_eq!(*packet, PacketId(2));
                 assert_eq!(*copies, 1);
-                assert_eq!(cause, "pushout");
+                assert_eq!(*cause, DropCause::Pushout);
             }
             other => panic!("unexpected event {other:?}"),
         }

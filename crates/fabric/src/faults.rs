@@ -522,8 +522,9 @@ impl<S: Switch> Checkpoint for FaultyFabric<S> {
     }
 
     // Version 2 added the per-slot scratch fields `requeued_packets` and
-    // `flag_killed_packets`; lint rule R8 fingerprints every field. They
-    // are not serialised. Version 3 stopped carrying pending events.
+    // `flag_killed_packets`, which are not serialised, when lint rule R8
+    // still fingerprinted every field. Version 3 stopped carrying pending
+    // events.
     fn state_version(&self) -> u16 {
         3
     }

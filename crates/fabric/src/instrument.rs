@@ -94,7 +94,9 @@ pub struct InstrumentedSwitch<S> {
     matched: PortSet,
     multicast: PortSet,
     split_candidates: Vec<PacketId>,
-    /// Per-slot scratch of `record_departures`: packets completed.
+    /// Per-slot scratch: the packets this slot completed, sorted (sized
+    /// once, for one completion per output). Built by `derive_event`,
+    /// then read by `record_departures`.
     completed: Vec<PacketId>,
     /// Packet-level sampling gate.
     mode: PacketTraceMode,
@@ -133,7 +135,7 @@ impl<S: Switch> InstrumentedSwitch<S> {
             matched: PortSet::with_capacity(n),
             multicast: PortSet::with_capacity(n),
             split_candidates: Vec::new(),
-            completed: Vec::new(),
+            completed: Vec::with_capacity(n),
             mode,
             sampled: BTreeSet::new(),
             ring: VecDeque::new(),
@@ -162,20 +164,12 @@ impl<S: Switch> InstrumentedSwitch<S> {
         }
     }
 
-    /// Emit the packet-scoped events for this slot's departures.
+    /// Emit the packet-scoped events for this slot's departures, after
+    /// `derive_event` has sorted the slot's completed packets.
     fn record_departures(&mut self, now: Slot, outcome: &SlotOutcome) {
         // `split` is a per-packet property of the slot: at least one copy
         // went out but the final copy did not.
-        let mut completed = std::mem::take(&mut self.completed);
-        completed.clear();
-        completed.extend(
-            outcome
-                .departures
-                .iter()
-                .filter(|d| d.last_copy)
-                .map(|d| d.packet),
-        );
-        completed.sort_unstable();
+        let completed = std::mem::take(&mut self.completed);
         for d in &outcome.departures {
             if !self.sampled.contains(&d.packet) {
                 continue;
@@ -209,13 +203,13 @@ impl<S: Switch> InstrumentedSwitch<S> {
         self.matched.clear();
         self.multicast.clear();
         self.split_candidates.clear();
-        let mut completed = 0u32;
+        self.completed.clear();
         for d in &outcome.departures {
             if !self.matched.insert(d.input) {
                 self.multicast.insert(d.input);
             }
             if d.last_copy {
-                completed += 1;
+                self.completed.push(d.packet);
                 self.ledger.remove(&(d.arrival, d.packet));
             } else {
                 self.split_candidates.push(d.packet);
@@ -223,17 +217,14 @@ impl<S: Switch> InstrumentedSwitch<S> {
         }
         // A packet was *split* this slot if it departed at least one copy
         // but its final copy did not go out: some residue stays queued.
+        self.completed.sort_unstable();
         self.split_candidates.sort_unstable();
         self.split_candidates.dedup();
+        let completed = &self.completed;
         let fanout_splits = self
             .split_candidates
             .iter()
-            .filter(|p| {
-                !outcome
-                    .departures
-                    .iter()
-                    .any(|d| d.packet == **p && d.last_copy)
-            })
+            .filter(|p| completed.binary_search(p).is_err())
             .count() as u32;
 
         let matched_inputs = self.matched.len() as u32;
@@ -248,7 +239,7 @@ impl<S: Switch> InstrumentedSwitch<S> {
             connections: outcome.connections as u32,
             multicast_inputs,
             fanout_splits,
-            completed_packets: completed,
+            completed_packets: self.completed.len() as u32,
             backlog_packets: backlog.packets as u64,
             backlog_copies: backlog.copies as u64,
             oldest_age: self.oldest_age(now),
@@ -393,9 +384,9 @@ impl<S: Switch> Checkpoint for InstrumentedSwitch<S> {
     }
 
     // Version 2 added the per-slot scratch fields `matched`, `multicast`,
-    // `split_candidates` and `completed`; lint rule R8 fingerprints every
-    // field. They are not serialised. Version 3 stopped carrying pending
-    // events and the ring.
+    // `split_candidates` and `completed`, which are not serialised, when
+    // lint rule R8 still fingerprinted every field. Version 3 stopped
+    // carrying pending events and the ring.
     fn state_version(&self) -> u16 {
         3
     }
@@ -934,6 +925,57 @@ mod tests {
                 ("packet_completed", 1, 1, false),
             ]
         );
+    }
+
+    #[test]
+    fn a_slot_of_mixed_packets_counts_splits_and_completions_once() {
+        // One slot, three packets, departures interleaved: packet 1 sends
+        // two copies, neither its last (split); packet 2 sends a sibling
+        // copy and its last (completed); packet 3 sends its last copy
+        // alone (completed).
+        let mut sw = InstrumentedSwitch::with_packet_trace(
+            Scripted::new(
+                6,
+                vec![vec![
+                    (1, 3, 2, true),
+                    (0, 0, 1, false),
+                    (2, 4, 3, true),
+                    (1, 2, 2, false),
+                    (0, 1, 1, false),
+                ]],
+            ),
+            PacketTraceMode::All,
+        );
+        for (id, input, dests) in [(1, 0, &[0usize, 1, 5][..]), (2, 1, &[2, 3]), (3, 2, &[4])] {
+            sw.admit(Packet::new(
+                PacketId(id),
+                Slot(0),
+                PortId(input),
+                dests.iter().copied().collect(),
+            ));
+        }
+        sw.run_slot(Slot(0));
+        let events = drain(&mut sw);
+        assert_eq!(slot_counts(&events), vec![(3, 2, 1, 2)]);
+        let copies: Vec<(u64, bool)> = events
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::CopySent { id, split, .. } => Some((id.0, *split)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            copies,
+            vec![(2, false), (1, true), (3, false), (2, false), (1, true)]
+        );
+        let completed: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::PacketCompleted { id, .. } => Some(id.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(completed, vec![2, 3]);
     }
 
     #[test]

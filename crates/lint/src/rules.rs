@@ -66,7 +66,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ("R5", "justification-audit", "every unsafe block has SAFETY:, every INVARIANT: tag a justification"),
     ("R6", "fingerprint-floats", "grid-hash fingerprint code formats floats only via to_bits()"),
     ("R7", "wrapper-forwarding", "wrapper impls override and delegate every default-bodied trait method"),
-    ("R8", "checkpoint-coverage", "Checkpoint impls cover every struct field both ways; field changes need a state_version bump"),
+    ("R8", "checkpoint-coverage", "Checkpoint impls cover every struct field both ways; changes to serialized fields need a state_version bump"),
     ("R9", "schema-drift", "derived schemas match their emitters bidirectionally and every schema id is emitted somewhere"),
     ("R10", "guarded-index", "hot-path slice indexing is dominated by a len check or fed by a checked accessor"),
 ];
@@ -118,9 +118,9 @@ pub const RULE_DOCS: &[(&str, &str, &str, &str)] = &[
     ),
     (
         "R8",
-        "A Checkpoint impl that skips a field diverges silently on recovery (PR 9's bit-identity promise). A field-list change without a state_version bump misreads old checkpoints. Fields typed by a generic parameter travel in their own frame; comment-documented exclusions are honored.",
+        "A Checkpoint impl that skips a field diverges silently on recovery. A change to the fields write_state serializes, without a state_version bump, misreads old checkpoints. Fields typed by a generic parameter travel in their own frame; comment-documented exclusions are honored, and fields write_state never references stay out of the fingerprint, so a new scratch field needs no version bump.",
         "fn read_state(..) { self.rng = r.u64()?; /* scoreboard never restored */ }",
-        "serialize the field, name it in a comment inside the impl (documented exclusion), or bump state_version and re-run --write-baseline for field changes",
+        "serialize the field, name it in a comment inside the impl (documented exclusion), or bump state_version and re-run --write-baseline when a serialized field changes",
     ),
     (
         "R9",

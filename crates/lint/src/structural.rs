@@ -13,10 +13,13 @@
 //!   `read_state`, unless the field's type is a generic parameter (the
 //!   wrapped inner switch travels in its own frame) or a comment inside
 //!   the impl names the field (the documented-exclusion convention:
-//!   serialize it or say why not). A fingerprint of the field list is
-//!   registered in `lint-state-fingerprints.json`; changing the fields
-//!   without bumping `state_version` is an error the manifest refuses
-//!   to paper over.
+//!   serialize it or say why not). A fingerprint of the fields that
+//!   `write_state` references is registered in
+//!   `lint-state-fingerprints.json`; changing those fields without
+//!   bumping `state_version` is an error the manifest refuses to paper
+//!   over. Fields `write_state` never touches (documented scratch,
+//!   configuration) stay out of the fingerprint, so adding one leaves
+//!   old checkpoints readable.
 //! * **R9 schema drift** — derived event schemas must stay in lock-step
 //!   with their emitters in *both* directions: the timeseries schema's
 //!   `event` enum equals the set of kinds the telemetry layer
@@ -246,8 +249,8 @@ pub struct StateEntry {
     pub kind: String,
     /// The declared `state_version()` (trait default 1 when absent).
     pub version: u64,
-    /// FNV-1a 64 hex fingerprint over the ordered `(name, type)` field
-    /// list of the checkpointed struct.
+    /// FNV-1a 64 hex fingerprint over the ordered `(name, type)` list of
+    /// the checkpointed struct's fields that `write_state` references.
     pub fingerprint: String,
     /// The struct the impl checkpoints.
     pub struct_name: String,
@@ -290,8 +293,10 @@ fn first_num(m: &Matcher, method: &ImplMethod) -> Option<u64> {
 }
 
 /// Every non-test `impl Checkpoint` in the program, with kind, version
-/// and field fingerprint. Impls whose struct or `state_kind` literal
-/// cannot be resolved are skipped (nothing to fingerprint).
+/// and the fingerprint of the fields its `write_state` serializes: a
+/// field the body never names is not part of the checkpoint's bytes.
+/// Impls whose struct or `state_kind` literal cannot be resolved are
+/// skipped (nothing to fingerprint).
 pub fn state_entries(program: &Program) -> Vec<StateEntry> {
     let mut out = Vec::new();
     for file in &program.files {
@@ -318,9 +323,14 @@ pub fn state_entries(program: &Program) -> Vec<StateEntry> {
                 .method("state_version")
                 .and_then(|me| first_num(&m, me))
                 .unwrap_or(1);
+            let serialized = |name: &str| {
+                imp.method("write_state")
+                    .is_some_and(|me| body_mentions(&m, &me.body, name))
+            };
             let parts: Vec<(&str, &str)> = st
                 .fields
                 .iter()
+                .filter(|f| serialized(&f.name))
                 .map(|f| (f.name.as_str(), f.ty.as_str()))
                 .collect();
             out.push(StateEntry {

@@ -1,12 +1,14 @@
 //! R8 fixture (good): full field coverage, a generic-typed inner value
-//! (travels in its own frame), and a comment-documented exclusion.
-//! Never compiled.
+//! (travels in its own frame), and comment-documented exclusions.
+//! `write_state` never names `ring_cap` or `scratch`, so neither is part
+//! of the state fingerprint. Never compiled.
 
 pub struct Counters<S> {
     inner: S,
     served: u64,
     dropped: u64,
     ring_cap: usize,
+    scratch: Vec<u64>,
 }
 
 impl<S> Checkpoint for Counters<S> {
@@ -18,7 +20,8 @@ impl<S> Checkpoint for Counters<S> {
         2
     }
 
-    // ring_cap is configuration, re-established by the constructor.
+    // ring_cap is configuration, re-established by the constructor, and
+    // scratch holds nothing between calls.
     fn write_state(&self, w: &mut StateWriter) {
         w.u64(self.served);
         w.u64(self.dropped);

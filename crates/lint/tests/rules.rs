@@ -11,7 +11,9 @@
 
 use fifoms_lint::matcher::Matcher;
 use fifoms_lint::rules::{check_file, check_vocabulary, Finding};
-use fifoms_lint::structural::{r7_wrapper_forwarding, r8_checkpoint_coverage, r9_schema_drift};
+use fifoms_lint::structural::{
+    r7_wrapper_forwarding, r8_checkpoint_coverage, r9_schema_drift, state_entries,
+};
 use fifoms_lint::Program;
 use fifoms_obs::Json;
 
@@ -366,6 +368,36 @@ fn r8_accepts_full_coverage_generics_and_documented_exclusions() {
     )]);
     let f = r8_checkpoint_coverage(&p);
     assert_eq!(f, Vec::new(), "good fixture must be fully clean");
+}
+
+#[test]
+fn r8_fingerprints_only_the_fields_write_state_serializes() {
+    let good = include_str!("fixtures/r8_good.rs");
+    let fingerprint = |src: &str| {
+        let entries = state_entries(&program(&[("crates/core/src/counters.rs", src)]));
+        assert_eq!(entries.len(), 1, "{entries:?}");
+        entries[0].fingerprint.clone()
+    };
+    let base = fingerprint(good);
+    // Dropping the documented scratch field, or retyping the
+    // configuration field, leaves the checkpoint's bytes and the
+    // fingerprint as they were.
+    let scratch = "    scratch: Vec<u64>,\n";
+    assert_eq!(fingerprint(&good.replace(scratch, "")), base);
+    let retyped = good.replace("ring_cap: usize", "ring_cap: u32");
+    assert_eq!(fingerprint(&retyped), base);
+    // Retyping a serialized field changes the fingerprint.
+    let retyped = good.replace("dropped: u64", "dropped: u32");
+    assert_ne!(fingerprint(&retyped), base);
+    // A scratch field named nowhere in the impl is still uncovered.
+    let undocumented = good.replace(scratch, "    spare: Vec<u64>,\n");
+    let p = program(&[("crates/core/src/counters.rs", &undocumented)]);
+    let f = r8_checkpoint_coverage(&p);
+    assert_eq!(
+        f.iter().map(|x| x.key.as_str()).collect::<Vec<_>>(),
+        vec!["unsaved spare", "unrestored spare"]
+    );
+    assert_eq!(fingerprint(&undocumented), base);
 }
 
 // --------------------------------------------------------------- R10 --

@@ -673,7 +673,7 @@ mod tests {
                 input: PortId(1),
                 packet: PacketId(7),
                 copies: 2,
-                cause: "tail_full".into(),
+                cause: fifoms_types::DropCause::TailFull,
             },
         );
         assert_eq!(

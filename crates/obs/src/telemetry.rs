@@ -23,7 +23,7 @@
 
 use crate::json::Json;
 use fifoms_stats::Log2Histogram;
-use fifoms_types::{Checkpoint, ObsEvent, PortId, StateError, StateReader, StateWriter};
+use fifoms_types::{Checkpoint, DropCause, ObsEvent, PortId, StateError, StateReader, StateWriter};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -214,13 +214,10 @@ impl Telemetry {
                 ..
             } => {
                 let copies = u64::from(*copies);
-                match cause.as_str() {
-                    "tail_full" => self.cur.drop_tail_full += copies,
-                    "pushout" => self.cur.drop_pushout += copies,
-                    "fair_shed" => self.cur.drop_fair_shed += copies,
-                    // Future causes still count per input below, so the
-                    // scoreboard view stays conservative-complete.
-                    _ => {}
+                match cause {
+                    DropCause::TailFull => self.cur.drop_tail_full += copies,
+                    DropCause::Pushout => self.cur.drop_pushout += copies,
+                    DropCause::FairShed => self.cur.drop_fair_shed += copies,
                 }
                 if let Some(i) = self.inputs.get_mut(input.0 as usize) {
                     i.admission_drops += copies;
@@ -1045,13 +1042,13 @@ mod tests {
     use super::*;
     use fifoms_types::{PacketId, Slot};
 
-    fn drop_event(cause: &str, copies: u32) -> ObsEvent {
+    fn drop_event(cause: DropCause, copies: u32) -> ObsEvent {
         ObsEvent::AdmissionDropped {
             slot: Slot(1),
             input: PortId(2),
             packet: PacketId(1),
             copies,
-            cause: cause.into(),
+            cause,
         }
     }
 
@@ -1060,7 +1057,7 @@ mod tests {
         let mut t = Telemetry::new(4, 3);
         assert_eq!(t.stride(), 3);
         for slot in 0..7u64 {
-            t.observe_event(&drop_event("tail_full", 2));
+            t.observe_event(&drop_event(DropCause::TailFull, 2));
             t.record_slot(1, 2, 1, 10, 20);
             if t.window_full() {
                 let ev = t.close_window(5);
@@ -1092,9 +1089,9 @@ mod tests {
     fn checkpoint_round_trip_is_bit_identical() {
         let mut original = Telemetry::new(4, 3).with_ring(5);
         for slot in 0..17u64 {
-            original.observe_event(&drop_event("tail_full", 2));
+            original.observe_event(&drop_event(DropCause::TailFull, 2));
             if slot % 4 == 0 {
-                original.observe_event(&drop_event("pushout", 1));
+                original.observe_event(&drop_event(DropCause::Pushout, 1));
             }
             original.record_slot(1, 2, 1, 10 + slot, 20 + slot);
             if original.window_full() {
@@ -1108,7 +1105,7 @@ mod tests {
         // Both continue identically, including the partial window.
         for slot in 17..30u64 {
             for t in [&mut original, &mut twin] {
-                t.observe_event(&drop_event("fair_shed", 3));
+                t.observe_event(&drop_event(DropCause::FairShed, 3));
                 t.record_slot(2, 1, 0, 5, 7);
                 if t.window_full() {
                     let _ = t.close_window(slot);
@@ -1182,7 +1179,7 @@ mod tests {
             }
         );
         let mut t = Telemetry::new(4, 2).with_ring(3);
-        t.observe_event(&drop_event("pushout", 3));
+        t.observe_event(&drop_event(DropCause::Pushout, 3));
         t.record_slot(5, 4, 2, 100, 250);
         t.record_slot(1, 0, 0, 30, 40);
         let closed = t.close_window(17);
@@ -1226,9 +1223,9 @@ mod tests {
     #[test]
     fn events_split_by_cause_input_and_kind() {
         let mut t = Telemetry::new(4, 10);
-        t.observe_event(&drop_event("tail_full", 1));
-        t.observe_event(&drop_event("pushout", 2));
-        t.observe_event(&drop_event("fair_shed", 3));
+        t.observe_event(&drop_event(DropCause::TailFull, 1));
+        t.observe_event(&drop_event(DropCause::Pushout, 2));
+        t.observe_event(&drop_event(DropCause::FairShed, 3));
         t.observe_event(&ObsEvent::CopyKilled {
             slot: Slot(0),
             input: PortId(1),

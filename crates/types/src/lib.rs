@@ -11,7 +11,8 @@
 //! * [`Departure`], [`SlotOutcome`] — the per-slot result record every
 //!   switch implementation produces, from which all paper metrics
 //!   (input/output oriented delay, queue sizes, convergence rounds) are
-//!   derived.
+//!   derived; [`WorkCounts`], the matching work a scheduler counts per
+//!   slot in debug builds.
 //!
 //! The paper models a switch with `N` input ports and `N` output ports and
 //! fixed-length cells, operating in synchronous time slots (§I). All types
@@ -40,7 +41,7 @@ pub use error::{check_ports, check_probability, InvariantViolation, SimError, Ty
 pub use fault::{AdmissionDrop, DropCause, DroppedCopy, RetryDisposition};
 pub use ids::{PacketId, PortId, Slot};
 pub use obs::ObsEvent;
-pub use outcome::{Departure, SlotOutcome};
+pub use outcome::{Departure, SlotOutcome, WorkCounts};
 pub use packet::Packet;
 pub use portset::{PortSet, PortSetIter};
 pub use timing::{SpanSample, SpanTimer};

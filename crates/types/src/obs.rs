@@ -11,7 +11,7 @@
 //! sink is attached, nothing in the workspace constructs per-slot events
 //! at all, so the hot path pays only an untaken branch.
 
-use crate::{PacketId, PortId, Slot};
+use crate::{DropCause, PacketId, PortId, Slot};
 
 /// One structured observation about a run.
 ///
@@ -198,8 +198,10 @@ pub enum ObsEvent {
         packet: PacketId,
         /// Number of copies removed by this decision.
         copies: u32,
-        /// Policy tag: `"tail_full"`, `"pushout"` or `"fair_shed"`.
-        cause: String,
+        /// The policy decision; traces carry its tag
+        /// ([`DropCause::as_str`]): `"tail_full"`, `"pushout"` or
+        /// `"fair_shed"`.
+        cause: DropCause,
     },
     /// A virtual output queue crossed the soft high-water mark for the
     /// first time this run. Emitted even with finite-buffer limits
@@ -544,7 +546,7 @@ mod tests {
             input: PortId(2),
             packet: PacketId(11),
             copies: 3,
-            cause: "tail_full".into(),
+            cause: DropCause::TailFull,
         };
         assert_eq!(dropped.kind(), "admission_dropped");
         assert_eq!(dropped.slot(), Some(Slot(4)));

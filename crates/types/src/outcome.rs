@@ -63,6 +63,20 @@ impl SlotOutcome {
     }
 }
 
+/// The matching work of one slot in the units of the paper's Table 2,
+/// counted only in builds with debug assertions. The counts are exact,
+/// so a test can pin them where a wall-clock gate could not.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct WorkCounts {
+    /// Ports taken up: FIFOMS's free inputs per round, iSLIP's unmatched
+    /// outputs per grant step.
+    pub visited: u64,
+    /// FIFOMS's candidate HOL cells read; iSLIP's pointer-scan tests.
+    pub examined: u64,
+    /// Requests sent (FIFOMS) or grants issued (iSLIP).
+    pub requests: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

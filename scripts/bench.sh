@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Benchmark driver for the workspace.
+# Benchmark driver for the workspace: the core bench (BENCH_core.json)
+# and the self-profile (BENCH_profile.json), then schema validation via
+# `check-bench`, which also appends the core bench's slots/sec rows to
+# results/bench_ledger.jsonl.
 #
-#   scripts/bench.sh           full run: core bench (BENCH_core.json) +
-#                              self-profile (BENCH_profile.json), then
-#                              schema validation via `check-bench`
-#   scripts/bench.sh --smoke   fast CI mode: short runs, same artifacts
+#   scripts/bench.sh
 #
 # Artifacts land in the repository root and validate against the schemas
 # under schemas/.
@@ -12,36 +12,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SMOKE=0
-for arg in "$@"; do
-  case "$arg" in
-    --smoke) SMOKE=1 ;;
-    *) echo "usage: scripts/bench.sh [--smoke]" >&2; exit 2 ;;
-  esac
-done
-
-if [[ "$SMOKE" == 1 ]]; then
-  PROFILE_SLOTS=10000
-  export BENCH_SMOKE=1
-else
-  PROFILE_SLOTS=100000
+if [[ $# -gt 0 ]]; then
+  echo "usage: scripts/bench.sh" >&2
+  exit 2
 fi
 
 echo "== core bench (FIFOMS vs iSLIP slots/sec) =="
 cargo bench -p fifoms-bench --bench core
 
 echo "== self-profile (engine phase breakdown) =="
-cargo run --release --quiet -p fifoms-cli -- profile --slots "$PROFILE_SLOTS"
+cargo run --release --quiet -p fifoms-cli -- profile --slots 100000
 
 echo "== validate artifacts against schemas/ =="
-# BENCH_CORE_OUT (if exported) moves the core artifact; validate the
-# same file the bench just wrote, and append its slots/sec rows to the
-# running ledger so regressions are visible across invocations.
 mkdir -p results
 cargo run --release --quiet -p fifoms-cli -- check-bench \
-  --current "${BENCH_CORE_OUT:-BENCH_core.json}" \
   --ledger results/bench_ledger.jsonl \
   --ledger-note "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-echo "bench artifacts written: ${BENCH_CORE_OUT:-BENCH_core.json} BENCH_profile.json"
+echo "bench artifacts written: BENCH_core.json BENCH_profile.json"
 echo "bench ledger appended:   results/bench_ledger.jsonl"

@@ -76,13 +76,11 @@
 #      each print the uninterrupted run's stdout from line 2 on; the
 #      first resume cuts the torn record off, so the second finds none.
 #      Resuming under another seed must fail with a journal mismatch.
-#  15. the bench regression gate: a smoke core bench compared against the
-#      committed BENCH_core.json baseline (wide tolerance — smoke runs
-#      are short and noisy; the gate exists to catch order-of-magnitude
-#      slumps, not jitter). It runs last because wall-clock noise fails
-#      it often on shared machines, and a failure here should not hide
-#      the results of the deterministic stages before it; it still
-#      fails the script.
+#
+# No stage times anything against a baseline: wall-clock samples on a
+# shared machine are too noisy to gate. The scheduler's work is gated
+# exactly instead, by tests/work_counts.rs in stage 3, and clippy in
+# stage 1 still compiles the core bench (`--all-targets`).
 #
 # No stage may leave the checkout changed. After stage 14 the script
 # puts back the committed files that stages 5 and 13 are known to
@@ -254,11 +252,5 @@ if [ -f "$tmp/status-start.txt" ]; then
     exit 1
   fi
 fi
-
-echo "== bench regression gate (smoke vs committed baseline) =="
-BENCH_SMOKE=1 BENCH_CORE_OUT="$tmp/BENCH_core.json" \
-  cargo bench -p fifoms-bench --bench core
-cargo run --release --quiet -p fifoms-cli -- check-bench \
-  --baseline BENCH_core.json --current "$tmp/BENCH_core.json" --tolerance 0.5
 
 echo "CI checks passed."

@@ -34,7 +34,7 @@
 //! | [`types`] | slots, ports, packets, destination bitsets |
 //! | [`stats`] | Welford moments, histograms, delay/occupancy recorders, saturation detection |
 //! | [`traffic`] | Bernoulli / uniform-fanout / burst models, unicast patterns, traces |
-//! | [`fabric`] | crossbar schedules, legality, speedup fabrics, the [`Switch`](fabric::Switch) trait |
+//! | [`fabric`] | the [`Switch`](fabric::Switch) trait and its checking, fault-injecting and instrumenting wrappers, the fault scoreboard |
 //! | [`core`] | data/address cells, VOQ sets, the FIFOMS scheduler and switch |
 //! | [`baselines`] | TATRA, iSLIP, OQ-FIFO, PIM, WBA, naive multicast FIFO |
 //! | [`sim`] | the slot loop, experiment specs, parallel sweeps, report tables |
